@@ -15,7 +15,6 @@ from .core import (
     Curve,
     DomainGrid,
     FunctionalDataset,
-    ObservationPair,
     build_dataset,
     classify_complete,
     dataset_summary,

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .core import classify_complete, load_dataset, summary_json
-from .errors import FdreconError, ParseError, UsageError
+from .errors import DataError, FdreconError, ParseError, UsageError
 from .iterative import IterationPlan, STRATEGIES, iterative_reconstruct
 from .reconstruct import (
     METHODS,
@@ -28,28 +28,6 @@ from .smoothing import Bandwidths
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
-
-_CONFIGURABLE = {
-    "fit": {
-        "input", "domain", "grid_size", "h_x", "h_mu", "h_gamma", "min_pairs",
-        "trim", "out_dir", "emit_scores", "scores_quadrature", "margin",
-    },
-    "reconstruct": {
-        "input", "domain", "grid_size", "h_x", "h_mu", "h_gamma", "min_pairs",
-        "trim", "out_dir", "curve_id", "method", "k", "fve_threshold", "rho",
-        "iterative", "strategy", "rmax", "scores_quadrature", "error_variance",
-        "margin", "emit_json",
-    },
-    "simulate": {
-        "dgp", "n", "m", "reps", "seed", "methods", "n_targets", "grid_size",
-        "out", "threads", "h_x", "h_mu", "h_gamma", "scores_quadrature",
-    },
-    "gcv-report": {
-        "input", "domain", "grid_size", "h_x", "h_mu", "h_gamma", "min_pairs",
-        "trim", "curve_id", "method", "out", "margin", "scores_quadrature",
-    },
-}
-
 
 def _read_config_file(path: str) -> dict:
     """Flat key=value configuration; '#' starts a comment."""
@@ -130,6 +108,19 @@ def _load(args) -> tuple:
     return dataset, model
 
 
+def _num(x) -> str:
+    """A CSV number: the repr of the Python float, which reads back exactly; blank if missing."""
+    return "" if x is None or not np.isfinite(x) else repr(float(x))
+
+
+def _curve(dataset, curve_id: str):
+    """The curve a --curve-id names; an unknown id is a usage error."""
+    try:
+        return dataset.curve(curve_id)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _write_csv(path: Path, header_comment: str, header: str, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -147,15 +138,15 @@ def cmd_fit(args) -> int:
 
     _write_csv(
         out / "mean.csv", comment, "u,value",
-        [f"{u!r},{v!r}" for u, v in zip(grid.points, model.mean.values)],
+        [f"{_num(u)},{_num(v)}" for u, v in zip(grid.points, model.mean.values)],
     )
     cov_lines = []
     mask_lines = []
     for i in range(grid.size):
         row = model.cov.surface[i]
-        cov_lines.append(",".join("" if not np.isfinite(x) else repr(float(x)) for x in row))
+        cov_lines.append(",".join(_num(x) for x in row))
         mask_lines.append(",".join(str(int(b)) for b in model.cov.mask[i]))
-    header = ",".join(repr(float(u)) for u in grid.points)
+    header = ",".join(_num(u) for u in grid.points)
     _write_csv(out / "covariance.csv", comment, header, cov_lines)
     _write_csv(out / "mask.csv", comment, header, mask_lines)
 
@@ -163,10 +154,10 @@ def cmd_fit(args) -> int:
     if np.all(model.cov.mask):
         eigsys = model.full_eigensystem()
         k_available = eigsys.k_available
-        cols = ["u"] + [f"lambda={lam!r}" for lam in eigsys.eigenvalues]
+        cols = ["u"] + [f"lambda={_num(lam)}" for lam in eigsys.eigenvalues]
         lines = []
         for i, u in enumerate(grid.points):
-            vals = [repr(float(u))] + [repr(float(x)) for x in eigsys.extrapolated[i]]
+            vals = [_num(u)] + [_num(x) for x in eigsys.extrapolated[i]]
             lines.append(",".join(vals))
         _write_csv(out / "eigensystem.csv", comment, ",".join(cols), lines)
 
@@ -183,8 +174,8 @@ def cmd_fit(args) -> int:
                 s_int = integral_scores(c, eig, model.mean, k, quadrature=args.scores_quadrature)
                 s_ce = ce_scores(c, eig, model.cov, model.sigma2, model.mean, k)
                 for kk in range(k):
-                    lines.append(f"{c.id},{kk + 1},{s_int.values[kk]!r},integral")
-                    lines.append(f"{c.id},{kk + 1},{s_ce.values[kk]!r},conditional_expectation")
+                    lines.append(f"{c.id},{kk + 1},{_num(s_int.values[kk])},integral")
+                    lines.append(f"{c.id},{kk + 1},{_num(s_ce.values[kk])},conditional_expectation")
             _write_csv(out / "scores.csv", comment, "curve_id,k,value,method", lines)
 
     (out / "summary.json").write_text(summary_json(dataset, args.margin))
@@ -235,7 +226,7 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out_dir)
     complete = classify_complete(dataset, args.margin)
     if args.curve_id:
-        targets = [dataset.curve(cid) for cid in args.curve_id]
+        targets = [_curve(dataset, cid) for cid in args.curve_id]
     else:
         targets = [c for c in dataset.curves if c.id not in complete] or list(dataset.curves)
 
@@ -267,9 +258,7 @@ def cmd_reconstruct(args) -> int:
                 )
         lines = []
         for u, v, prov, ev in rec.rows():
-            ev_txt = "" if ev is None or not np.isfinite(ev) else repr(ev)
-            v_txt = "" if not np.isfinite(v) else repr(v)
-            lines.append(f"{u!r},{v_txt},{prov},{ev_txt}")
+            lines.append(f"{_num(u)},{_num(v)},{prov},{_num(ev)}")
         _write_csv(
             out / f"recon_{curve.id}_{rec.method}.csv", comment,
             "u,value,provenance,error_variance", lines,
@@ -316,20 +305,20 @@ def cmd_gcv_report(args) -> int:
     if args.method not in METHODS:
         raise UsageError(f"--method must be one of {', '.join(METHODS)}")
     dataset, model = _load(args)
-    curve = dataset.curve(args.curve_id)
+    curve = _curve(dataset, args.curve_id)
     grid = model.grid
     target_m = curve_subdomain(curve, grid).complement(grid)
     if args.method == "kraus":
         rho, details = select_kraus_ridge_gcv(model, dataset, target_m, margin_fraction=args.margin)
-        lines = [f"{r!r},{g!r}" for r, g in sorted(details["gcv"].items())]
+        lines = [f"{_num(r)},{_num(g)}" for r, g in sorted(details["gcv"].items())]
         header = "rho,gcv"
-        chosen = f"chosen rho={rho!r}"
+        chosen = f"chosen rho={_num(rho)}"
     else:
         k, details = select_truncation_gcv(
             args.method, model, dataset, target_m,
             margin_fraction=args.margin, quadrature=args.scores_quadrature,
         )
-        lines = [f"{kk},{details['gcv'][kk]!r},{details['rss'][kk]!r}" for kk in details["candidates"]]
+        lines = [f"{kk},{_num(details['gcv'][kk])},{_num(details['rss'][kk])}" for kk in details["candidates"]]
         header = "K,gcv,rss"
         chosen = f"chosen K={k}"
     comment = _resolved_config_comment("gcv-report", args)
@@ -421,6 +410,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gcv.add_argument("--out", default=None, help="optional output CSV")
     p_gcv.set_defaults(func=cmd_gcv_report)
     return parser
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Per subcommand, the keys a config file may set: the destinations of its long flags.
+
+    ``simulate`` also takes ``threads``, the one global flag that shapes its run.
+    """
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {
+        name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+    keys["simulate"].add("threads")
+    return keys
+
+
+_CONFIGURABLE = _config_keys(build_parser())
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,13 +15,6 @@ DEFAULT_GRID_SIZE = 51
 DEFAULT_COMPLETE_MARGIN = 0.1
 
 CSV_HEADER = ("curve_id", "u", "y")
-
-
-class ObservationPair(NamedTuple):
-    """A single measurement (u, y) of a curve."""
-
-    u: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -101,10 +94,6 @@ class Curve:
     @property
     def n_obs(self) -> int:
         return self.u.size
-
-    @property
-    def points(self) -> list[ObservationPair]:
-        return [ObservationPair(float(a), float(b)) for a, b in zip(self.u, self.y)]
 
 
 @dataclass(frozen=True)

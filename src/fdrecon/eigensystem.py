@@ -124,9 +124,7 @@ class Subdomain:
         for block in self.blocks():
             nb = block.size
             wb = np.full(nb, grid.delta)
-            if nb == 1:
-                wb[:] = grid.delta
-            else:
+            if nb > 1:
                 wb[0] = wb[-1] = 0.5 * grid.delta
             w[pos : pos + nb] = wb
             pos += nb
@@ -137,10 +135,6 @@ class Subdomain:
         return tuple(
             (int(blk[0]), int(blk[-1]), a, b) for blk, (a, b) in zip(self.blocks(), self.intervals)
         )
-
-    @property
-    def hull(self) -> tuple[float, float]:
-        return self.intervals[0][0], self.intervals[-1][1]
 
 
 def interp_columns(u, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -291,6 +285,20 @@ def _node_layout(cov: CovarianceEstimate, subdomain: Subdomain):
     )
 
 
+def _weighted_eigh(G: np.ndarray, w: np.ndarray):
+    """Symmetric eigenproblem of the covariance matrix G under quadrature weights w.
+
+    Solves D G D with D = diag(sqrt(w)), symmetrized against rounding.
+    Returns (eigenvalues ascending, orthonormal eigenvectors, sqrt(w)); an
+    eigenfunction on the nodes is its eigenvector divided by sqrt(w).
+    """
+    d = np.sqrt(w)
+    M = d[:, None] * G * d[None, :]
+    M = 0.5 * (M + M.T)
+    evals, evecs = np.linalg.eigh(M)
+    return evals, evecs, d
+
+
 def eigen_on_subdomain(
     cov: CovarianceEstimate,
     subdomain: Subdomain,
@@ -335,10 +343,7 @@ def eigen_on_subdomain(
         rows = cov.at(nodes[~on_grid][:, None], nodes[None, :])
         G[~on_grid, :] = rows
         G[:, ~on_grid] = rows.T
-    d = np.sqrt(w)
-    M = d[:, None] * G * d[None, :]
-    M = 0.5 * (M + M.T)
-    evals, evecs = np.linalg.eigh(M)
+    evals, evecs, d = _weighted_eigh(G, w)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]

@@ -14,7 +14,7 @@ from .reconstruct import (
     PROV_NON_ESTIMABLE,
     ReconstructedCurve,
     ReconstructionModel,
-    _grid_anchors,
+    _aligned_values,
     reconstruct_with_method,
 )
 from .smoothing import CovarianceEstimate, MeanEstimate
@@ -127,6 +127,16 @@ def _grid_scores(values_on_sub: np.ndarray, eigsys: EigenSystem, mean: MeanEstim
     return eigsys.eigenfunctions.T @ (eigsys.weights * resid)
 
 
+def _edge_values(values_on_sub: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
+    """Gridded values at the block edges of a grid-aligned subdomain, rows (a_0, b_0, a_1, ...).
+
+    On such a subdomain the interval ends are the block edges. With one
+    row of values per curve, the result has one column per curve.
+    """
+    edges = [i for s in eigsys.node_blocks for i in (s.start, s.stop - 1)]
+    return values_on_sub[..., edges].T
+
+
 def _reconstruct_from_grid(
     values_on_sub: np.ndarray,
     eigsys: EigenSystem,
@@ -142,13 +152,10 @@ def _reconstruct_from_grid(
     k_use = min(int(k), eigsys.k_available)
     xi = _grid_scores(values_on_sub, eigsys, model.mean)[:k_use]
     idx = np.nonzero(_estimable_rows(eigsys))[0]
-    ext = eigsys.extrapolated[idx, :k_use]
     if method.startswith("ayes"):
-        anchors = _grid_anchors(values_on_sub, eigsys, model)
-        ax, amu, aphi = anchors.compose(model.grid.points[idx], k_use)
-        vals = ax + model.mean.values[idx] - amu + ((ext - aphi) @ xi if k_use else 0.0)
+        vals = _aligned_values(eigsys, model.mean, idx, _edge_values(values_on_sub, eigsys), xi)
     else:
-        vals = model.mean.values[idx] + (ext @ xi if k_use else 0.0)
+        vals = model.mean.values[idx] + (eigsys.extrapolated[idx, :k_use] @ xi if k_use else 0.0)
     return vals, idx
 
 
@@ -294,21 +301,13 @@ def check_error_accumulation(
         f, g = dgp_shape_functions(dgp_config.dgp)
         paths = np.outer(z[:, 0], f(grid.points)) + np.outer(z[:, 1], g(grid.points))
 
-    def anchor_corrections(eig, inputs_on_sub, eval_idx, xi):
-        pts = eig.subdomain.points(grid)
-        u_eval = grid.points[eval_idx]
-        pick_right = np.abs(u_eval - pts[-1]) < np.abs(u_eval - pts[0])
-        edge_pos = np.where(pick_right, pts.size - 1, 0)
-        x_edge = inputs_on_sub[:, edge_pos]
-        phi_edge = eig.eigenfunctions[edge_pos, :]
-        return x_edge - xi @ phi_edge.T
+    zero_mean = MeanEstimate.zero(grid)
 
     def step_values(eig, inputs_on_sub, eval_idx):
         xi = (inputs_on_sub * eig.weights) @ eig.eigenfunctions
-        preds = xi @ eig.extrapolated[eval_idx].T
-        if method == "ayes":
-            preds = preds + anchor_corrections(eig, inputs_on_sub, eval_idx, xi)
-        return preds
+        if method == "ano":
+            return xi @ eig.extrapolated[eval_idx].T
+        return _aligned_values(eig, zero_mean, eval_idx, _edge_values(inputs_on_sub, eig), xi.T).T
 
     x_o1 = paths[:, o1.grid_indices]
     step1_idx = np.nonzero(covered1)[0]

@@ -14,6 +14,7 @@ from .eigensystem import (
     Subdomain,
     eigen_on_subdomain,
     extrapolate_basis,
+    _weighted_eigh,
 )
 from .errors import (
     DataError,
@@ -160,19 +161,32 @@ def curve_subdomain(curve: Curve, grid: DomainGrid) -> Subdomain:
     return Subdomain.from_interval(grid, lo, hi)
 
 
-def _compute_scores(
-    method: str,
+# The score route of each truncation method: numeric integration, or the
+# conditional expectation on the observed subdomain or on the full domain.
+_SCORE_ROUTES = {
+    "ano": "integral", "ayes": "integral", "anoce": "ce", "ayesce": "ce", "pace": "pace",
+}
+
+
+def _scores(
+    route: str,
     curve: Curve,
     model: ReconstructionModel,
     eigsys: EigenSystem,
     k: int,
-    quadrature: str,
+    quadrature: str = "riemann",
+    carry_to_ends: bool = False,
 ) -> ScoreVector:
-    if method == "integral":
-        return integral_scores(curve, eigsys, model.mean, k, quadrature=quadrature)
-    if method == "ce":
+    """The curve's first k scores by route: 'integral', 'ce' or 'pace'."""
+    if route == "integral":
+        return integral_scores(
+            curve, eigsys, model.mean, k, quadrature=quadrature, carry_to_ends=carry_to_ends
+        )
+    if route == "ce":
         return ce_scores(curve, eigsys, model.cov, model.sigma2, model.mean, k)
-    raise UsageError(f"unknown scores method {method!r} (expected 'integral' or 'ce')")
+    if route == "pace":
+        return pace_scores(curve, eigsys, model.cov, model.sigma2, model.mean, k)
+    raise UsageError(f"unknown scores method {route!r} (expected 'integral' or 'ce')")
 
 
 def reconstruct_ano(
@@ -195,7 +209,7 @@ def reconstruct_ano(
     if subdomain is None:
         subdomain = curve_subdomain(curve, grid)
     eigsys = model.eigensystem_for(subdomain)
-    scores = _compute_scores(scores_method, curve, model, eigsys, k, quadrature)
+    scores = _scores(scores_method, curve, model, eigsys, k, quadrature)
     ext = eigsys.extrapolated[:, :k]
     values = model.mean.values + (ext @ scores.values if k else 0.0)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
@@ -258,28 +272,42 @@ def _mix(rows: np.ndarray, lo, hi, w, direct) -> np.ndarray:
     return np.where(direct, r_lo, (1 - w) * r_lo + w * r_hi)
 
 
-class _AnchorSet:
-    """Boundary-anchor values for the aligned reconstruction.
+class _Anchor:
+    """The boundary anchor of the aligned reconstruction at the points u.
 
-    Holds, per subdomain interval endpoint, the smoothed curve value, the
-    mean value and the eigenfunction vector; composes them at missing
-    points, linearly interpolating between adjacent intervals and clamping
-    beyond the outermost ones.
+    Every point mixes the rows (a_0, b_0, a_1, b_1, ...) of values at the
+    subdomain interval ends as ``_anchor_weights`` says: ``mean`` and
+    ``phi`` hold the mixed mean and eigenfunction values, ``shift`` mixes
+    a curve's own end values. Those come from the local-linear smoother for
+    a raw curve (``_anchor_values``) and are the block-edge values for a
+    gridded pseudo-curve.
     """
 
-    def __init__(self, intervals, x_vals, mu_vals, phi_vals):
-        self.intervals = intervals
-        self.x_vals = np.asarray(x_vals, dtype=float)
-        self.mu_vals = np.asarray(mu_vals, dtype=float)
-        self.phi_vals = phi_vals
+    def __init__(self, eigsys: EigenSystem, mean: MeanEstimate, u: np.ndarray, k: int):
+        intervals = eigsys.subdomain.intervals
+        self.weights = _anchor_weights(intervals, u)
+        self.mean = _mix(mean.at(np.array(intervals).ravel()), *self.weights)
+        self.phi = _mix(eigsys.end_values[:, :k], *self.weights)
 
-    def compose(self, u: np.ndarray, k: int):
-        weights = _anchor_weights(self.intervals, np.atleast_1d(np.asarray(u, float)))
-        return (
-            _mix(self.x_vals, *weights),
-            _mix(self.mu_vals, *weights),
-            _mix(self.phi_vals[:, :k], *weights),
-        )
+    def shift(self, x_ends: np.ndarray, mean_u: np.ndarray, cut=slice(None)) -> np.ndarray:
+        """(anchor value + mean) - anchor mean at u[cut]; x_ends may hold one column per curve."""
+        ax = _mix(x_ends, *(w[cut] for w in self.weights))
+        amu = self.mean[cut]
+        if ax.ndim == 2:
+            mean_u, amu = mean_u[:, None], amu[:, None]
+        return ax + mean_u - amu
+
+
+def _aligned_values(eigsys: EigenSystem, mean: MeanEstimate, idx, x_ends, xi) -> np.ndarray:
+    """The aligned expansion on the grid rows idx from the end values x_ends and scores xi.
+
+    Evaluates (anchor + mean) - anchor mean + (basis - anchor basis) @ xi;
+    with one column of xi and of x_ends per curve, one column per curve.
+    """
+    k = xi.shape[0]
+    anchor = _Anchor(eigsys, mean, eigsys.grid.points[idx], k)
+    contrib = (eigsys.extrapolated[idx, :k] - anchor.phi) @ xi if k else 0.0
+    return anchor.shift(x_ends, mean.values[idx]) + contrib
 
 
 def reconstruct_ayes(
@@ -304,7 +332,7 @@ def reconstruct_ayes(
     if subdomain is None:
         subdomain = curve_subdomain(curve, grid)
     eigsys = model.eigensystem_for(subdomain)
-    scores = _compute_scores(scores_method, curve, model, eigsys, k, quadrature)
+    scores = _scores(scores_method, curve, model, eigsys, k, quadrature)
     o_idx = subdomain.grid_indices
 
     values = np.full(grid.size, np.nan)
@@ -320,15 +348,12 @@ def reconstruct_ayes(
     values[o_idx] = np.where(ok, smoothed, ano_on_o)
     n_smooth_fallback = int((~ok).sum())
 
-    anchors, n_anchor_fb = _build_anchors_safe(curve, eigsys, model, scores, k)
+    end_smoothing = _end_smoothing(curve, eigsys, model)
+    x_ends = _anchor_values(end_smoothing, eigsys, model, scores, k)
 
     m_idx = np.setdiff1d(np.arange(grid.size), o_idx)
     if m_idx.size:
-        u_m = grid.points[m_idx]
-        ax, amu, aphi = anchors.compose(u_m, k)
-        ext = eigsys.extrapolated[m_idx, :k]
-        contrib = (ext - aphi) @ scores.values if k else 0.0
-        vals_m = ax + model.mean.values[m_idx] - amu + contrib
+        vals_m = _aligned_values(eigsys, model.mean, m_idx, x_ends, scores.values)
         values[m_idx] = vals_m
         bad = m_idx[~np.isfinite(vals_m)]
         values[bad] = np.nan
@@ -341,7 +366,7 @@ def reconstruct_ayes(
         diagnostics={
             "score_flags": list(scores.flags),
             "n_smoother_fallback": n_smooth_fallback,
-            "n_anchor_fallback": n_anchor_fb,
+            "n_anchor_fallback": int((~end_smoothing[1]).sum()),
         },
     )
 
@@ -362,31 +387,6 @@ def _anchor_values(smoothing, eigsys, model, scores, k) -> np.ndarray:
     return x_vals
 
 
-def _build_anchors_safe(curve, eigsys, model, scores, k):
-    """Anchors from the raw curve, substituting the expansion value on failure."""
-    sub = eigsys.subdomain
-    smoothing = _end_smoothing(curve, eigsys, model)
-    x_vals = _anchor_values(smoothing, eigsys, model, scores, k)
-    mu_vals = model.mean.at(np.array(sub.intervals).ravel())
-    return _AnchorSet(sub.intervals, x_vals, mu_vals, eigsys.end_values), int((~smoothing[1]).sum())
-
-
-def _grid_anchors(values_on_sub, eigsys, model):
-    """Anchors for a gridded pseudo-curve: grid values at the block edges."""
-    sub = eigsys.subdomain
-    blocks = sub.blocks()
-    x_vals = []
-    for j, (a, b) in enumerate(sub.intervals):
-        block = blocks[j]
-        pos = np.searchsorted(sub.grid_indices, block)
-        pts = sub.points(model.grid)[pos]
-        for point in (a, b):
-            xv = float(np.interp(np.clip(point, pts[0], pts[-1]), pts, values_on_sub[pos]))
-            x_vals.append(xv)
-    mu_vals = model.mean.at(np.array(sub.intervals).ravel())
-    return _AnchorSet(sub.intervals, x_vals, mu_vals, eigsys.end_values)
-
-
 def reconstruct_pace(
     curve: Curve,
     model: ReconstructionModel,
@@ -396,7 +396,7 @@ def reconstruct_pace(
     """Joint approximation of observed and missing parts with the full-domain basis."""
     grid = model.grid
     eigsys = model.full_eigensystem()
-    scores = pace_scores(curve, eigsys, model.cov, model.sigma2, model.mean, k)
+    scores = _scores("pace", curve, model, eigsys, k)
     phi = eigsys.extrapolated[:, :k]
     values = model.mean.values + (phi @ scores.values if k else 0.0)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
@@ -408,19 +408,54 @@ def reconstruct_pace(
     )
 
 
-def _kraus_operator(model: ReconstructionModel, o_sub: Subdomain):
-    """Eigendecomposition of the weighted covariance block on the observed part."""
-    idx = o_sub.grid_indices
-    if not np.all(model.cov.mask[np.ix_(idx, idx)]):
-        raise NotEstimableError("covariance not estimable on the observed block")
-    G = model.cov.surface[np.ix_(idx, idx)]
-    w = o_sub.trapezoid_weights(model.grid)
-    d = np.sqrt(w)
-    M = d[:, None] * G * d[None, :]
-    M = 0.5 * (M + M.T)
-    nu, q = np.linalg.eigh(M)
-    nu = np.clip(nu, 0.0, None)
-    return idx, w, d, nu, q
+class _RidgeOperator:
+    """The ridge regression of the missing grid rows on the observed block of o_sub.
+
+    The covariance block on the observed grid points is diagonalized once
+    under its trapezoid weights, with no eigenvalue floor and no end nodes
+    off the grid; each ridge parameter then costs two products.
+    """
+
+    def __init__(self, model: ReconstructionModel, o_sub: Subdomain):
+        idx = o_sub.grid_indices
+        cov = model.cov
+        if not np.all(cov.mask[np.ix_(idx, idx)]):
+            raise NotEstimableError("covariance not estimable on the observed block")
+        w = o_sub.trapezoid_weights(model.grid)
+        nu, self.q, self.d = _weighted_eigh(cov.surface[np.ix_(idx, idx)], w)
+        self.nu = np.clip(nu, 0.0, None)
+        self.model, self.idx = model, idx
+        self.m_idx = np.setdiff1d(np.arange(model.grid.size), idx)
+        G_mo = cov.surface[np.ix_(self.m_idx, idx)]
+        self.G_mo_w = np.where(np.isnan(G_mo), 0.0, G_mo) * w[None, :]
+        self.row_ok = np.all(cov.mask[np.ix_(self.m_idx, idx)], axis=1)
+
+    def observe(self, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
+        """The curve smoothed onto the observed grid points, and those values centred and weighted.
+
+        A point where the local fit fails takes the nearest good value;
+        with no good value at all, raises InsufficientLocalDataError.
+        """
+        points = self.model.grid.points[self.idx]
+        smoothed, ok = _smoothed_curve_on(curve, points, self.model.bandwidths.h_x)
+        if not np.all(ok):
+            good, bad = np.nonzero(ok)[0], np.nonzero(~ok)[0]
+            if good.size == 0:
+                raise InsufficientLocalDataError(points[0], 0)
+            nearest = np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)
+            smoothed[bad] = smoothed[good[nearest]]
+        return smoothed, self.d * (smoothed - self.model.mean.values[self.idx])
+
+    def predict(self, z0: np.ndarray, rho: float) -> np.ndarray:
+        """Values on the missing rows from the centred, weighted observed values z0.
+
+        (Gamma_OO + rho I)^{-1} is applied in the weighted symmetric
+        eigenbasis; rows whose covariance is not estimable are NaN.
+        """
+        z = (self.q @ ((self.q.T @ z0) / (self.nu + rho))) / self.d
+        vals = self.model.mean.values[self.m_idx] + self.G_mo_w @ z
+        vals[~self.row_ok] = np.nan
+        return vals
 
 
 def reconstruct_kraus(
@@ -448,37 +483,14 @@ def reconstruct_kraus(
     if not (np.isfinite(rho) and rho > 0):
         raise UsageError(f"ridge parameter must be positive, got {rho}")
 
-    idx, w, d, nu, q = _kraus_operator(model, o_sub)
-    smoothed, ok = _smoothed_curve_on(curve, grid.points[idx], model.bandwidths.h_x)
-    if not np.all(ok):
-        filled = np.where(ok, smoothed, np.nan)
-        good = np.nonzero(ok)[0]
-        if good.size == 0:
-            raise InsufficientLocalDataError(grid.points[idx][0], 0)
-        for i in np.nonzero(~ok)[0]:
-            filled[i] = smoothed[good[np.argmin(np.abs(good - i))]]
-        smoothed = filled
-    resid = smoothed - model.mean.values[idx]
-
-    # (Gamma_OO + rho I)^{-1} via the weighted symmetric eigenbasis.
-    z = d * resid
-    z = q @ ((q.T @ z) / (nu + rho))
-    z = z / d
-
+    op = _RidgeOperator(model, o_sub)
+    smoothed, z0 = op.observe(curve)
     values = np.full(grid.size, np.nan)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
-    values[idx] = smoothed
-    provenance[idx] = PROV_OBSERVED
-    m_idx = np.setdiff1d(np.arange(grid.size), idx)
-    if m_idx.size:
-        row_ok = np.all(model.cov.mask[np.ix_(m_idx, idx)], axis=1)
-        G_mo = np.where(
-            np.isnan(model.cov.surface[np.ix_(m_idx, idx)]), 0.0, model.cov.surface[np.ix_(m_idx, idx)]
-        )
-        vals_m = model.mean.values[m_idx] + (G_mo * w[None, :]) @ z
-        vals_m[~row_ok] = np.nan
-        values[m_idx] = vals_m
-        provenance[m_idx[~row_ok]] = PROV_NON_ESTIMABLE
+    values[op.idx] = smoothed
+    provenance[op.idx] = PROV_OBSERVED
+    values[op.m_idx] = op.predict(z0, rho)
+    provenance[op.m_idx[~op.row_ok]] = PROV_NON_ESTIMABLE
 
     ev = None
     if include_error_variance:
@@ -507,26 +519,35 @@ def error_variance(eigsys: EigenSystem, cov: CovarianceEstimate, u) -> np.ndarra
     return out
 
 
-_GCV_SCORE_ROUTES = {
-    "ano": "integral", "ayes": "integral", "anoce": "ce", "ayesce": "ce", "pace": "pace",
-}
-
-
-def _gcv_scores(
-    route: str,
+def _gcv_splits(
     model: ReconstructionModel,
-    eigsys: EigenSystem,
-    curve_obs: Curve,
-    k_max: int,
-    quadrature: str,
-) -> ScoreVector:
-    if route == "integral":
-        return integral_scores(
-            curve_obs, eigsys, model.mean, k_max, quadrature=quadrature, carry_to_ends=True
-        )
-    if route == "ce":
-        return ce_scores(curve_obs, eigsys, model.cov, model.sigma2, model.mean, k_max)
-    return pace_scores(curve_obs, eigsys, model.cov, model.sigma2, model.mean, k_max)
+    dataset: FunctionalDataset,
+    target_m: Subdomain,
+    margin_fraction: float,
+) -> tuple[Subdomain, int, list]:
+    """The completely observed curves split at the target's missing region, in id order.
+
+    A curve's observations inside the target's observed part (the
+    complement of ``target_m``) stay observed; the rest become
+    pseudo-missing. Returns (observed part, number of complete curves,
+    splits); a split is (curve, inside mask, pseudo-observed curve), or
+    None where nothing is pseudo-missing or fewer than two distinct points
+    stay observed.
+    """
+    complete = sorted(classify_complete(dataset, margin_fraction))
+    if not complete:
+        raise NotEstimableError("no complete curves for GCV")
+    o_sub = target_m.complement(model.grid)
+    by_id = {c.id: c for c in dataset.curves}
+    splits = []
+    for cid in complete:
+        c = by_id[cid]
+        inside = o_sub.contains(c.u)
+        if np.all(inside) or np.unique(c.u[inside]).size < 2:
+            splits.append(None)
+        else:
+            splits.append((c, inside, Curve(c.id, c.u[inside], c.y[inside])))
+    return o_sub, len(complete), splits
 
 
 def select_truncation_gcv(
@@ -583,7 +604,7 @@ class _GcvState:
 
 
 def _gcv_state(method, model, o_sub, n_complete, k_candidates, max_components) -> _GcvState:
-    if method not in _GCV_SCORE_ROUTES:
+    if method not in _SCORE_ROUTES:
         raise UsageError(f"unknown method {method!r}")
     eigsys = model.full_eigensystem() if method == "pace" else model.eigensystem_for(o_sub)
     k_cap = min(eigsys.k_available, n_complete - 1, max_components)
@@ -620,12 +641,7 @@ def select_truncations_gcv(
     share (ano and ayes; anoce and ayesce) and the anchor smoothing of the
     aligned methods are computed once per split.
     """
-    grid = model.grid
-    complete = sorted(classify_complete(dataset, margin_fraction))
-    if not complete:
-        raise NotEstimableError("no complete curves for GCV")
-    n_complete = len(complete)
-    o_sub = target_m.complement(grid)
+    o_sub, n_complete, splits = _gcv_splits(model, dataset, target_m, margin_fraction)
     states: dict[str, _GcvState | FdreconError] = {}
     for method in methods:
         try:
@@ -635,37 +651,24 @@ def select_truncations_gcv(
         except FdreconError as exc:
             states[method] = exc
 
-    # First pass: the splits. Second pass: every evaluation at the
-    # pseudo-missing points of all splits at once, then per split the scores
-    # and the prediction prefixes over K.
-    by_id = {c.id: c for c in dataset.curves}
-    splits, u_parts = [], []
-    for cid in complete:
-        c = by_id[cid]
-        inside = o_sub.contains(c.u)
-        if np.all(inside) or np.unique(c.u[inside]).size < 2:
-            splits.append(None)
-            continue
-        splits.append((Curve(c.id, c.u[inside], c.y[inside]), c.y[~inside]))
-        u_parts.append(c.u[~inside])
+    # Every evaluation at the pseudo-missing points of all splits at once,
+    # then per split the scores and the prediction prefixes over K.
+    u_parts = [c.u[~inside] for c, inside, _ in filter(None, splits)]
     u_miss = np.concatenate(u_parts) if u_parts else np.empty(0)
     bounds = np.cumsum([0] + [part.size for part in u_parts])
     mu_miss = model.mean.at(u_miss)
-    # Per method at the pseudo-missing points: the anchor mean, the basis
-    # (minus the anchor basis) and the anchor weights of the aligned methods.
+    # Per method at the pseudo-missing points: the anchor of the aligned
+    # methods and the basis, minus the anchor basis for them.
     evaluated = {}
     for method, st in states.items():
         if not isinstance(st, _GcvState):
             continue
         ext = st.eigsys.extrapolated_at(u_miss, st.k_max)
         if method in ("ayes", "ayesce"):
-            sub = st.eigsys.subdomain
-            weights = _anchor_weights(sub.intervals, u_miss)
-            amu = _mix(model.mean.at(np.array(sub.intervals).ravel()), *weights)
-            aphi = _mix(st.eigsys.end_values[:, :st.k_max], *weights)
-            evaluated[method] = (amu, ext - aphi, weights)
+            anchor = _Anchor(st.eigsys, model.mean, u_miss, st.k_max)
+            evaluated[method] = (anchor, ext - anchor.phi)
         else:
-            evaluated[method] = (None, ext, None)
+            evaluated[method] = (None, ext)
 
     pos = 0
     for split in splits:
@@ -676,25 +679,26 @@ def select_truncations_gcv(
             for _, st in live:
                 st.skipped += 1
             continue
-        pseudo_obs, y_miss = split
+        c, inside, pseudo_obs = split
+        y_miss = c.y[~inside]
         cut = slice(bounds[pos], bounds[pos + 1])
         pos += 1
         memo: dict = {}
         for method, st in live:
-            route = _GCV_SCORE_ROUTES[method]
-            amu, basis, weights = evaluated[method]
+            route = _SCORE_ROUTES[method]
+            anchor, basis = evaluated[method]
             base, basis = mu_miss[cut], basis[cut]
             try:
                 scores = _memo_call(
                     memo, ("scores", route, st.k_max),
-                    _gcv_scores, route, model, st.eigsys, pseudo_obs, st.k_max, quadrature,
+                    _scores, route, pseudo_obs, model, st.eigsys, st.k_max, quadrature, True,
                 )
-                if weights is not None:
+                if anchor is not None:
                     smoothing = _memo_call(
                         memo, ("ends",), _end_smoothing, pseudo_obs, st.eigsys, model
                     )
                     x_vals = _anchor_values(smoothing, st.eigsys, model, scores, st.k_max)
-                    base = _mix(x_vals, *(wt[cut] for wt in weights)) + base - amu[cut]
+                    base = anchor.shift(x_vals, base, cut)
             except (NotEstimableError, InsufficientLocalDataError, DataError):
                 st.skipped += 1
                 continue
@@ -748,59 +752,36 @@ def select_kraus_ridge_gcv(
     margin_fraction: float = 0.1,
 ) -> tuple[float, dict]:
     """Ridge parameter by the same pseudo-missing GCV with effective degrees of freedom."""
-    grid = model.grid
-    complete = sorted(classify_complete(dataset, margin_fraction))
-    if not complete:
-        raise NotEstimableError("no complete curves for GCV")
-    n_complete = len(complete)
-    o_sub = target_m.complement(grid)
-    idx, w, d, nu, q = _kraus_operator(model, o_sub)
-    trace = float(nu.sum())
+    o_sub, n_complete, splits = _gcv_splits(model, dataset, target_m, margin_fraction)
+    op = _RidgeOperator(model, o_sub)
+    trace = float(op.nu.sum())
     if rho_candidates is None:
         lo, hi = KRAUS_RHO_GRID_DECADES
-        scale = max(trace / idx.size, 1e-300)
+        scale = max(trace / op.idx.size, 1e-300)
         rho_candidates = [scale * 10.0 ** e for e in np.linspace(lo, hi, KRAUS_RHO_GRID_SIZE)]
     rho_candidates = sorted(float(r) for r in rho_candidates if r > 0)
     if not rho_candidates:
         raise UsageError("no positive ridge candidate")
 
-    m_idx = np.setdiff1d(np.arange(grid.size), idx)
-    G_mo = np.where(
-        np.isnan(model.cov.surface[np.ix_(m_idx, idx)]), 0.0, model.cov.surface[np.ix_(m_idx, idx)]
-    )
-    row_ok = np.all(model.cov.mask[np.ix_(m_idx, idx)], axis=1)
-
-    by_id = {c.id: c for c in dataset.curves}
     prepared = []
-    for cid in complete:
-        c = by_id[cid]
-        inside = o_sub.contains(c.u)
-        n_miss = int((~inside).sum())
-        if n_miss == 0 or np.unique(c.u[inside]).size < 2:
+    for c, inside, pseudo in filter(None, splits):
+        try:
+            prepared.append((c, inside, op.observe(pseudo)[1]))
+        except InsufficientLocalDataError:
             continue
-        pseudo = Curve(c.id, c.u[inside], c.y[inside])
-        smoothed, ok = _smoothed_curve_on(pseudo, grid.points[idx], model.bandwidths.h_x)
-        if not np.all(ok):
-            good = np.nonzero(ok)[0]
-            if good.size == 0:
-                continue
-            for i in np.nonzero(~ok)[0]:
-                smoothed[i] = smoothed[good[np.argmin(np.abs(good - i))]]
-        prepared.append((c, inside, d * (smoothed - model.mean.values[idx])))
     if not prepared:
         raise NotEstimableError("no complete curves for GCV (all splits degenerate)")
 
+    m_points = model.grid.points[op.m_idx]
     results = {}
     for rho in rho_candidates:
-        df = float(np.sum(nu / (nu + rho)))
+        df = float(np.sum(op.nu / (op.nu + rho)))
         if df >= n_complete:
             continue
         rss = 0.0
         for c, inside, z0 in prepared:
-            z = (q @ ((q.T @ z0) / (nu + rho))) / d
-            vals_m = model.mean.values[m_idx] + (G_mo * w[None, :]) @ z
-            vals_m[~row_ok] = np.nan
-            preds = np.interp(c.u[~inside], grid.points[m_idx], vals_m) if m_idx.size else np.array([])
+            vals_m = op.predict(z0, rho)
+            preds = np.interp(c.u[~inside], m_points, vals_m) if m_points.size else np.array([])
             resid = c.y[~inside] - preds
             resid = resid[np.isfinite(resid)]
             if resid.size:
@@ -834,7 +815,7 @@ def reconstruct_with_method(
         raise UsageError(f"method {name!r} needs a truncation K")
     if name == "pace":
         return reconstruct_pace(curve, model, k, include_error_variance=include_error_variance)
-    scores_method = "ce" if name.endswith("ce") else "integral"
+    scores_method = _SCORE_ROUTES[name]
     fn = reconstruct_ayes if name.startswith("ayes") else reconstruct_ano
     return fn(curve, model, k, scores_method, quadrature=quadrature,
               include_error_variance=include_error_variance)

@@ -247,8 +247,11 @@ def _reconstruct_rep(
     quadrature: str,
     margin_fraction: float,
     gcv_max_components: int,
-) -> tuple[dict, dict]:
-    """All target reconstructions of one replication: method -> (n_targets, L) values."""
+) -> tuple[dict, dict, np.ndarray]:
+    """All target reconstructions of one replication: method -> (n_targets, L) values.
+
+    Also returns the failures per method and the targets' true values on the grid.
+    """
     dataset, targets = generate_dgp(config, rep)
     grid = targets.grid
     out = {m: np.full((config.n_targets, grid.size), np.nan) for m in methods}
@@ -258,7 +261,7 @@ def _reconstruct_rep(
     except FdreconError as exc:
         for m in methods:
             failures[m] = [f"rep {rep}: model fit failed: {exc}"] * config.n_targets
-        return out, failures
+        return out, failures, targets.truth
 
     selection_cache: dict = {}
     for t, curve in enumerate(targets.curves):
@@ -303,7 +306,7 @@ def _reconstruct_rep(
                 out[m][t] = rec.values
             except FdreconError as exc:
                 failures[m].append(f"rep {rep} target {t}: {exc}")
-    return out, failures
+    return out, failures, targets.truth
 
 
 def run_study(
@@ -355,11 +358,9 @@ def run_study(
         results = [worker(rep) for rep in range(config.replications)]
 
     # Fixed-order reduction keeps the report independent of thread scheduling.
-    truth = None
-    for rep, (vals, fails) in enumerate(results):
-        if truth is None:
-            _, targets = generate_dgp(config, rep)
-            truth = targets.truth
+    # The targets do not depend on the replication, so neither does their truth.
+    truth = results[0][2]
+    for vals, fails, _ in results:
         for m in methods:
             ok = np.all(np.isfinite(vals[m]), axis=1)
             sums[m][ok] += vals[m][ok]

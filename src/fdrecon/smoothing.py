@@ -122,9 +122,6 @@ class CovarianceEstimate:
         filled = np.where(self.mask, self.surface, 0.0)
         return _bilinear(self.grid.points, filled, np.asarray(u, float), np.asarray(v, float))
 
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.surface).copy()
-
     @classmethod
     def from_function(
         cls,

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, determinism and golden outputs."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from fdrecon import Curve, build_dataset, write_dataset_csv
+from fdrecon import cli
 from fdrecon.cli import main
+
+FIT_FLAGS = ["--domain", "0", "1", "--h-x", "0.1", "--h-mu", "0.06", "--h-gamma", "0.08"]
 
 
 def make_input(tmp_path, seed=0, n=50, m=60, name="data.csv"):
@@ -47,6 +51,26 @@ class TestFit:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_curves"] == 50
         assert 0 <= summary["sigma2"]
+
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        inp = make_input(tmp_path)
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(inp), "--out-dir", str(out), "--emit-scores", *FIT_FLAGS]) == 0
+        for name in ("mean.csv", "covariance.csv", "mask.csv", "eigensystem.csv", "scores.csv"):
+            lines = (out / name).read_text().splitlines()[1:]  # below the config comment
+            header, *rows = [line.split(",") for line in lines]
+            cells = [cell for row in rows for cell in row]
+            if name == "scores.csv":
+                cells = [row[2] for row in rows]
+            elif name == "eigensystem.csv":
+                cells += [h.removeprefix("lambda=") for h in header[1:]]
+            elif name != "mean.csv":
+                cells += header
+            if name == "covariance.csv":  # a non-estimable cell is blank
+                cells = [cell for cell in cells if cell]
+            assert cells
+            for cell in cells:
+                float(cell)
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main(["fit", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
@@ -102,6 +126,15 @@ class TestReconstruct:
             assert n1 == n2
             assert b1.split(b"\n", 1)[1] == b2.split(b"\n", 1)[1]
 
+    def test_unknown_curve_id_exit_2(self, tmp_path, capsys):
+        inp = make_input(tmp_path)
+        code = main([
+            "reconstruct", "--input", str(inp), "--out-dir", str(tmp_path / "rec"),
+            "--curve-id", "nope", "--method", "ano", "--k", "2", *FIT_FLAGS,
+        ])
+        assert code == 2
+        assert "no curve with id 'nope'" in capsys.readouterr().err
+
     def test_usage_error_on_bad_method(self, tmp_path):
         inp = make_input(tmp_path)
         code = main([
@@ -155,6 +188,12 @@ class TestGcvReport:
         assert "K,gcv,rss" in out
         assert "chosen K=" in out
 
+    def test_unknown_curve_id_exit_2(self, tmp_path, capsys):
+        inp = make_input(tmp_path)
+        code = main(["gcv-report", "--input", str(inp), "--curve-id", "nope", "--method", "ano", *FIT_FLAGS])
+        assert code == 2
+        assert "no curve with id 'nope'" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_applies_and_flags_win(self, tmp_path, capsys):
@@ -181,6 +220,27 @@ class TestConfigFile:
         ])
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "reconstruct", "simulate", "gcv-report"])
+    def test_keys_are_the_long_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        keys = {f[2:].replace("-", "_") for f in flags}
+        if command == "simulate":
+            keys.add("threads")
+        assert cli._CONFIGURABLE[command] == keys
+
+    def test_key_of_another_command_rejected(self, tmp_path, capsys):
+        inp = make_input(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emit_scores=true\n")
+        code = main([
+            "--config", str(cfg), "gcv-report", "--input", str(inp), "--curve-id", "c001",
+            "--method", "ano", *FIT_FLAGS,
+        ])
+        assert code == 2
+        assert "unknown config key 'emit_scores'" in capsys.readouterr().err
 
 
 def test_console_entry_point_help():

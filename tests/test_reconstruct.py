@@ -202,7 +202,7 @@ class TestReconstructAyes:
         rec = reconstruct_ayes(curve, model, k=k, subdomain=sub, quadrature="trapezoid")
 
         from fdrecon import integral_scores, llk_curve
-        from fdrecon.reconstruct import _build_anchors_safe
+        from fdrecon.reconstruct import _Anchor, _anchor_values, _end_smoothing, _mix
 
         scores = integral_scores(curve, eig, model.mean, k, quadrature="trapezoid")
         at = 0.45
@@ -210,8 +210,9 @@ class TestReconstructAyes:
         assert w == pytest.approx(0.5)
         x_b1 = llk_curve(curve, 0.3, model.bandwidths.h_x)
         x_a2 = llk_curve(curve, 0.6, model.bandwidths.h_x)
-        anchors, _ = _build_anchors_safe(curve, eig, model, scores, k)
-        ax, amu, aphi = anchors.compose(np.array([at]), k)
+        anchor = _Anchor(eig, model.mean, np.array([at]), k)
+        x_ends = _anchor_values(_end_smoothing(curve, eig, model), eig, model, scores, k)
+        ax, amu, aphi = _mix(x_ends, *anchor.weights), anchor.mean, anchor.phi
         assert ax[0] == pytest.approx((1 - w) * x_b1 + w * x_a2, abs=1e-10)
         gi = int(np.argmin(np.abs(grid.points - at)))
         ext = eig.extrapolated[gi, :k]

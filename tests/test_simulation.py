@@ -142,6 +142,21 @@ class TestRunStudy:
             assert a["mse"] == b["mse"]
             assert a["bias2"] == b["bias2"]
 
+    def test_one_generate_dgp_call_per_replication(self, monkeypatch):
+        import fdrecon.simulation as sim
+
+        calls = []
+        original = sim.generate_dgp
+
+        def counting(config, rep):
+            calls.append(rep)
+            return original(config, rep)
+
+        monkeypatch.setattr(sim, "generate_dgp", counting)
+        cfg = DgpConfig(dgp=1, n=30, m=15, seed=5, replications=3, n_targets=4)
+        run_study(cfg, ["ano"])
+        assert sorted(calls) == [0, 1, 2]
+
     def test_unknown_method_rejected(self):
         cfg = DgpConfig(dgp=1, n=10, m=15, seed=1, replications=1)
         with pytest.raises(UsageError):
