@@ -46,35 +46,47 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, command: str) -> None:
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _config_value(key: str, action: argparse.Action, raw: str):
+    """A config value converted as its flag would convert it on the command line."""
+    if action.nargs == 0:  # a switch
+        if raw.lower() not in _BOOLEANS:
+            raise UsageError(f"config key {key!r} takes true or false, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    many = action.nargs is not None or isinstance(action, argparse._AppendAction)
+    items = raw.replace(",", " ").split() if many else [raw]
+    try:
+        values = [(action.type or str)(item) for item in items]
+    except ValueError:
+        raise UsageError(f"config key {key!r}: invalid value {raw!r}") from None
+    if (isinstance(action.nargs, int) and len(values) != action.nargs) or (
+        action.choices is not None and any(v not in action.choices for v in values)
+    ):
+        raise UsageError(f"config key {key!r}: invalid value {raw!r}")
+    return values if many else values[0]
+
+
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; config-file values become the defaults of the command's flags.
+
+    Parsing again after that lets the flags given on the command line win.
+    """
+    args = parser.parse_args(argv)
     if not args.config:
-        return
-    allowed = _CONFIGURABLE[command]
-    overrides = _read_config_file(args.config)
-    for key, raw in overrides.items():
-        if key not in allowed:
-            raise UsageError(f"unknown config key {key!r} for command {command!r}")
-        if getattr(args, key, None) not in (None, False):
-            continue  # flags win
-        default = _str_to_value(raw)
-        setattr(args, key, default)
-
-
-def _str_to_value(raw: str):
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+        return args
+    actions = _config_actions(parser, args.command)
+    for key, raw in _read_config_file(args.config).items():
+        if key not in actions:
+            raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
+        action = actions[key]
+        # A repeated flag would append to the config's list instead of replacing it.
+        if isinstance(action, argparse._AppendAction) and getattr(args, key) is not None:
+            continue
+        action.default = _config_value(key, action, raw)
+    return parser.parse_args(argv)
 
 
 def _resolved_config_comment(command: str, args: argparse.Namespace) -> str:
@@ -412,28 +424,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
-    """Per subcommand, the keys a config file may set: the destinations of its long flags.
+def _config_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The flags a config file may set for a command, by key: the command's long flags.
 
     ``simulate`` also takes ``threads``, the one global flag that shapes its run.
     """
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    keys = {
-        name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
-        for name, sub in commands.choices.items()
-    }
-    keys["simulate"].add("threads")
-    return keys
+    sub = commands.choices[command]
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    if command == "simulate":
+        actions.update((a.dest, a) for a in parser._actions if a.dest == "threads")
+    return actions
 
 
-_CONFIGURABLE = _config_keys(build_parser())
+_CONFIGURABLE = {
+    command: set(_config_actions(build_parser(), command))
+    for command in ("fit", "reconstruct", "simulate", "gcv-report")
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, args.command)
+        args = _parse(parser, argv)
         if args.command == "simulate":
             args.threads = max(1, args.threads)
         return args.func(args)

@@ -30,7 +30,7 @@ from .smoothing import (
     MeanEstimate,
     NoiseVariance,
     _bilinear,
-    _llk_fit_1d,
+    _smoothed_curve_on,
     estimate_noise_variance,
     llk_covariance,
     llk_mean,
@@ -223,15 +223,6 @@ def reconstruct_ano(
         curve.id, grid, values, provenance, k, method, ev,
         diagnostics={"score_flags": list(scores.flags)},
     )
-
-
-def _smoothed_curve_on(
-    curve: Curve, targets: np.ndarray, h_x: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local-linear values of the raw curve at targets; ok=False where the fit failed."""
-    beta0, counts, fallback = _llk_fit_1d(curve.u, curve.y, np.asarray(targets, float), h_x)
-    ok = (counts >= 2) & ~fallback & np.isfinite(beta0)
-    return beta0, ok
 
 
 def _anchor_weights(intervals, u: np.ndarray):
@@ -558,7 +549,6 @@ def select_truncation_gcv(
     k_candidates: Sequence[int] | None = None,
     margin_fraction: float = 0.1,
     quadrature: str = "riemann",
-    max_components: int = GCV_MAX_COMPONENTS,
 ) -> tuple[int, dict]:
     """Truncation choice by generalized cross-validation over pseudo-missing parts.
 
@@ -569,8 +559,7 @@ def select_truncation_gcv(
     number of complete curves; ties break toward the smaller truncation.
     """
     result = select_truncations_gcv(
-        [method], model, dataset, target_m, k_candidates, margin_fraction, quadrature,
-        max_components,
+        [method], model, dataset, target_m, k_candidates, margin_fraction, quadrature
     )[method]
     if isinstance(result, FdreconError):
         raise result
@@ -603,11 +592,11 @@ class _GcvState:
         self.error: FdreconError | None = None
 
 
-def _gcv_state(method, model, o_sub, n_complete, k_candidates, max_components) -> _GcvState:
+def _gcv_state(method, model, o_sub, n_complete, k_candidates) -> _GcvState:
     if method not in _SCORE_ROUTES:
         raise UsageError(f"unknown method {method!r}")
     eigsys = model.full_eigensystem() if method == "pace" else model.eigensystem_for(o_sub)
-    k_cap = min(eigsys.k_available, n_complete - 1, max_components)
+    k_cap = min(eigsys.k_available, n_complete - 1, GCV_MAX_COMPONENTS)
     if k_cap < 1:
         raise NotEstimableError(
             f"no admissible truncation: K_available={eigsys.k_available}, |C|={n_complete}"
@@ -629,7 +618,6 @@ def select_truncations_gcv(
     k_candidates: Sequence[int] | None = None,
     margin_fraction: float = 0.1,
     quadrature: str = "riemann",
-    max_components: int = GCV_MAX_COMPONENTS,
 ) -> dict[str, tuple[int, dict] | FdreconError]:
     """``select_truncation_gcv`` for several methods over one set of pseudo-missing splits.
 
@@ -645,9 +633,7 @@ def select_truncations_gcv(
     states: dict[str, _GcvState | FdreconError] = {}
     for method in methods:
         try:
-            states[method] = _gcv_state(
-                method, model, o_sub, n_complete, k_candidates, max_components
-            )
+            states[method] = _gcv_state(method, model, o_sub, n_complete, k_candidates)
         except FdreconError as exc:
             states[method] = exc
 
@@ -748,20 +734,19 @@ def select_kraus_ridge_gcv(
     model: ReconstructionModel,
     dataset: FunctionalDataset,
     target_m: Subdomain,
-    rho_candidates: Sequence[float] | None = None,
     margin_fraction: float = 0.1,
 ) -> tuple[float, dict]:
-    """Ridge parameter by the same pseudo-missing GCV with effective degrees of freedom."""
+    """Ridge parameter by the same pseudo-missing GCV with effective degrees of freedom.
+
+    The candidates are KRAUS_RHO_GRID_SIZE values log-spaced over
+    KRAUS_RHO_GRID_DECADES around the mean eigenvalue of the observed block.
+    """
     o_sub, n_complete, splits = _gcv_splits(model, dataset, target_m, margin_fraction)
     op = _RidgeOperator(model, o_sub)
     trace = float(op.nu.sum())
-    if rho_candidates is None:
-        lo, hi = KRAUS_RHO_GRID_DECADES
-        scale = max(trace / op.idx.size, 1e-300)
-        rho_candidates = [scale * 10.0 ** e for e in np.linspace(lo, hi, KRAUS_RHO_GRID_SIZE)]
-    rho_candidates = sorted(float(r) for r in rho_candidates if r > 0)
-    if not rho_candidates:
-        raise UsageError("no positive ridge candidate")
+    scale = max(trace / op.idx.size, 1e-300)
+    exponents = np.linspace(*KRAUS_RHO_GRID_DECADES, KRAUS_RHO_GRID_SIZE)
+    rho_candidates = [float(scale * 10.0**e) for e in exponents]
 
     prepared = []
     for c, inside, pseudo in filter(None, splits):

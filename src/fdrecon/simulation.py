@@ -12,7 +12,6 @@ import numpy as np
 from .core import Curve, DomainGrid, FunctionalDataset, build_dataset
 from .errors import FdreconError, StudyError, UsageError
 from .reconstruct import (
-    GCV_MAX_COMPONENTS,
     METHODS,
     curve_subdomain,
     fit_reconstruction_model,
@@ -25,6 +24,8 @@ from .smoothing import Bandwidths
 N_BASIS_TERMS = 50
 NOISE_VARIANCES = {1: 0.0125, 2: 0.125, 3: 0.0, 4: 0.0}
 OBSERVATION_LATTICE_SIZE = 51
+# Share of a method's (target, replication) pairs that may fail before a study aborts.
+FAILURE_BUDGET = 0.05
 DEFAULT_METHODS = {
     1: ("ayesce", "ayes", "anoce", "ano", "pace"),
     2: ("ayesce", "ayes", "anoce", "ano", "pace"),
@@ -246,7 +247,6 @@ def _reconstruct_rep(
     bandwidths: Bandwidths | None,
     quadrature: str,
     margin_fraction: float,
-    gcv_max_components: int,
 ) -> tuple[dict, dict, np.ndarray]:
     """All target reconstructions of one replication: method -> (n_targets, L) values.
 
@@ -278,7 +278,6 @@ def _reconstruct_rep(
                     o_sub.complement(grid),
                     margin_fraction=margin_fraction,
                     quadrature=quadrature,
-                    max_components=gcv_max_components,
                 )
             except FdreconError as exc:
                 selected = dict.fromkeys(pending, exc)
@@ -316,8 +315,6 @@ def run_study(
     quadrature: str = "riemann",
     threads: int = 1,
     margin_fraction: float = 0.1,
-    gcv_max_components: int = GCV_MAX_COMPONENTS,
-    failure_budget: float = 0.05,
 ) -> StudyReport:
     """Monte-Carlo comparison of the reconstruction methods on one benchmark.
 
@@ -325,7 +322,7 @@ def run_study(
     reconstructs the fixed targets with each method using its GCV-selected
     tuning. Integrated squared bias, variance and their sum are accumulated
     across replications, averaged over targets and ranked by the MSE ratio.
-    A method failing on more than ``failure_budget`` of its (target,
+    A method failing on more than ``FAILURE_BUDGET`` of its (target,
     replication) pairs aborts the study; isolated failures are dropped from
     the averages and counted in the metadata.
     """
@@ -340,16 +337,9 @@ def run_study(
 
     t0 = time.time()
     grid = DomainGrid.regular((0.0, 1.0), config.grid_size)
-    L = grid.size
-    sums = {m: np.zeros((config.n_targets, L)) for m in methods}
-    sq_sums = {m: np.zeros((config.n_targets, L)) for m in methods}
-    counts = {m: np.zeros(config.n_targets, dtype=int) for m in methods}
-    failures: dict[str, list[str]] = {m: [] for m in methods}
 
     def worker(rep: int):
-        return _reconstruct_rep(
-            config, rep, methods, bandwidths, quadrature, margin_fraction, gcv_max_components
-        )
+        return _reconstruct_rep(config, rep, methods, bandwidths, quadrature, margin_fraction)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -360,17 +350,11 @@ def run_study(
     # Fixed-order reduction keeps the report independent of thread scheduling.
     # The targets do not depend on the replication, so neither does their truth.
     truth = results[0][2]
-    for vals, fails, _ in results:
-        for m in methods:
-            ok = np.all(np.isfinite(vals[m]), axis=1)
-            sums[m][ok] += vals[m][ok]
-            sq_sums[m][ok] += vals[m][ok] ** 2
-            counts[m][ok] += 1
-            failures[m].extend(fails[m])
+    failures = {m: [f for _, fails, _ in results for f in fails[m]] for m in methods}
 
     n_attempts = config.replications * config.n_targets
     for m in methods:
-        if len(failures[m]) > failure_budget * n_attempts:
+        if len(failures[m]) > FAILURE_BUDGET * n_attempts:
             raise StudyError(
                 f"method {m!r} failed on {len(failures[m])}/{n_attempts} target-replication "
                 "pairs",
@@ -379,12 +363,20 @@ def run_study(
 
     rows = []
     for m in methods:
-        valid = counts[m] > 0
+        # Replications x targets x grid; a target's failed replications count as zeros
+        # in the sums and stay out of its count.
+        vals = np.stack([res[0][m] for res in results])
+        ok = np.all(np.isfinite(vals), axis=2)
+        counts = ok.sum(axis=0)
+        valid = counts > 0
         if not np.any(valid):
             raise StudyError(f"method {m!r} produced no valid reconstruction")
-        cnt = counts[m][valid][:, None].astype(float)
-        mean_vals = sums[m][valid] / cnt
-        var_pts = np.clip(sq_sums[m][valid] / cnt - mean_vals**2, 0.0, None)
+        cnt = counts[valid][:, None].astype(float)
+        ok, vals = ok[:, valid, None], vals[:, valid]
+        mean_vals = np.where(ok, vals, 0.0).sum(axis=0) / cnt
+        # Squared deviations about the mean (a second pass) do not cancel the
+        # way E[x^2] - E[x]^2 does.
+        var_pts = np.where(ok, (vals - mean_vals) ** 2, 0.0).sum(axis=0) / cnt
         bias2_l = np.trapezoid((mean_vals - truth[valid]) ** 2, grid.points, axis=1)
         var_l = np.trapezoid(var_pts, grid.points, axis=1)
         bias2 = float(np.mean(bias2_l))

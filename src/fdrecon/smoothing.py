@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .core import Curve, DomainGrid, FunctionalDataset
 from .errors import DataError, InsufficientLocalDataError, NotEstimableError, UsageError
@@ -174,6 +175,44 @@ def _bilinear(grid_points: np.ndarray, surface: np.ndarray, u, v) -> np.ndarray:
     return out
 
 
+def _kernel_weights(x: np.ndarray, targets: np.ndarray, h: float):
+    """Every (target, point) pair inside the strict kernel window t - h < x < t + h.
+
+    The one place the smoothers sort, window and weigh. Returns (rows, cols,
+    d, w) grouped by target, each window in stable ascending order of x:
+    the target index, the index into x, d = (x - t) / h and the
+    Epanechnikov weight K(d). Points inside a window keep their pair even
+    where the weight rounds to zero.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    lo = np.searchsorted(xs, targets - h, side="right")
+    hi = np.searchsorted(xs, targets + h, side="left")
+    sizes = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(targets.size), sizes)
+    pos = np.arange(rows.size) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
+    d = (xs[pos] - targets[rows]) / h
+    return rows, order[pos], d, epanechnikov(d)
+
+
+def _normal_equations(rows: np.ndarray, n: int, w: np.ndarray, columns, y: np.ndarray):
+    """Per-target weighted normal equations A = sum w x x^T and b = sum w x y.
+
+    ``columns`` holds the design columns over the pairs of ``_kernel_weights``
+    (a scalar for a constant column); returns A with shape (n, k, k) and b
+    with shape (n, k).
+    """
+    k = len(columns)
+    A = np.empty((n, k, k))
+    b = np.empty((n, k))
+    for i, xi in enumerate(columns):
+        xw = xi * w
+        b[:, i] = np.bincount(rows, xw * y, minlength=n)
+        for j in range(i, k):
+            A[:, i, j] = A[:, j, i] = np.bincount(rows, xw * columns[j], minlength=n)
+    return A, b
+
+
 def _llk_fit_1d(x: np.ndarray, y: np.ndarray, targets: np.ndarray, h: float):
     """Windowed local-linear fits of y on x at each target.
 
@@ -181,34 +220,33 @@ def _llk_fit_1d(x: np.ndarray, y: np.ndarray, targets: np.ndarray, h: float):
     observations with strictly positive weight and fallback marks targets
     where a singular design degraded to a local-constant fit.
     """
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    targets = np.asarray(targets, dtype=float)
-    beta0 = np.full(targets.size, np.nan)
-    counts = np.zeros(targets.size, dtype=int)
-    fallback = np.zeros(targets.size, dtype=bool)
-    lo = np.searchsorted(xs, targets - h, side="right")
-    hi = np.searchsorted(xs, targets + h, side="left")
-    for i, t in enumerate(targets):
-        sl = slice(lo[i], hi[i])
-        dx = (xs[sl] - t) / h
-        w = epanechnikov(dx)
-        pos = w > 0
-        counts[i] = int(np.count_nonzero(pos))
-        if counts[i] == 0:
-            continue
-        s0 = w.sum()
-        s1 = float(w @ dx)
-        s2 = float(w @ (dx * dx))
-        t0 = float(w @ ys[sl])
-        t1 = float(w @ (dx * ys[sl]))
-        det = s0 * s2 - s1 * s1
-        if det > 1e-12 * max(s0 * s0, 1e-300):
-            beta0[i] = (s2 * t0 - s1 * t1) / det
-        else:
-            beta0[i] = t0 / s0
-            fallback[i] = True
-    return beta0, counts, fallback
+    n = np.size(targets)
+    rows, cols, d, w = _kernel_weights(x, targets, h)
+    counts = np.bincount(rows[w > 0], minlength=n)
+    A, b = _normal_equations(rows, n, w, (1.0, d), y[cols])
+    s0, s1, s2 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    t0, t1 = b[:, 0], b[:, 1]
+    det = s0 * s2 - s1 * s1
+    linear = det > 1e-12 * np.maximum(s0 * s0, 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta0 = np.where(linear, (s2 * t0 - s1 * t1) / det, t0 / s0)
+    beta0[counts == 0] = np.nan
+    return beta0, counts, (counts > 0) & ~linear
+
+
+def _smoothed_curve_on(curve: Curve, targets, h_x: float, strict: bool = False):
+    """Local-linear values of the raw curve at targets and whether each fit held.
+
+    A fit holds where at least two observations carry weight, the local
+    design is not singular and the value is finite. With ``strict``, the
+    first target where it does not hold raises InsufficientLocalDataError.
+    """
+    beta0, counts, fallback = _llk_fit_1d(curve.u, curve.y, targets, h_x)
+    ok = (counts >= 2) & ~fallback & np.isfinite(beta0)
+    if strict and not np.all(ok):
+        i = int(np.argmin(ok))
+        raise InsufficientLocalDataError(targets[i], int(counts[i]))
+    return beta0, ok
 
 
 def llk_curve(curve: Curve, u, h_x: float) -> float | np.ndarray:
@@ -240,11 +278,7 @@ def llk_curve(curve: Curve, u, h_x: float) -> float | np.ndarray:
     if np.any(targets < lo - tol) or np.any(targets > hi + tol):
         bad = targets[(targets < lo - tol) | (targets > hi + tol)][0]
         raise InsufficientLocalDataError(bad, 0)
-    beta0, counts, fallback = _llk_fit_1d(curve.u, curve.y, targets, h_x)
-    bad = (counts < 2) | fallback
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise InsufficientLocalDataError(targets[i], int(counts[i]))
+    beta0, _ = _smoothed_curve_on(curve, targets, h_x, strict=True)
     return float(beta0[0]) if scalar else beta0
 
 
@@ -273,27 +307,6 @@ def llk_mean(dataset: FunctionalDataset, grid: DomainGrid, h_mu: float) -> MeanE
     )
 
 
-def _raw_pairs(dataset: FunctionalDataset, mean: MeanEstimate):
-    """Off-diagonal raw covariance points over all curves, both pair orders.
-
-    Returns (u1, u2, c) where c = (Y_j - mu(U_j)) * (Y_l - mu(U_l)), j != l.
-    """
-    u1_parts, u2_parts, c_parts = [], [], []
-    for c in dataset.curves:
-        m = c.n_obs
-        if m < 2:
-            continue
-        resid = c.y - mean.at(c.u)
-        iu, il = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        off = iu != il
-        u1_parts.append(c.u[iu[off]])
-        u2_parts.append(c.u[il[off]])
-        c_parts.append(resid[iu[off]] * resid[il[off]])
-    if not u1_parts:
-        raise DataError("no within-curve observation pairs")
-    return np.concatenate(u1_parts), np.concatenate(u2_parts), np.concatenate(c_parts)
-
-
 def llk_covariance(
     dataset: FunctionalDataset,
     mean: MeanEstimate,
@@ -309,57 +322,48 @@ def llk_covariance(
     returned surface is exactly symmetric on estimable cells and NaN
     elsewhere. Singular local designs degrade to local-constant fits.
     """
-    u1, u2, cvals = _raw_pairs(dataset, mean)
-    pts = grid.points
-    L = pts.size
-    order = np.argsort(u1, kind="stable")
-    u1s, u2s, cs = u1[order], u2[order], cvals[order]
+    sizes = np.array([c.n_obs for c in dataset.curves])
+    n_pairs = int(np.sum(sizes * (sizes - 1)))
+    if n_pairs == 0:
+        raise DataError("no within-curve observation pairs")
+    u = dataset.pooled_u()
+    resid = dataset.pooled_y() - mean.at(u)
+    L, N = grid.size, u.size
+    curve = np.repeat(np.arange(sizes.size), sizes)
+    slot = np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    s00 = np.zeros((L, L))
-    s10 = np.zeros((L, L))
-    s01 = np.zeros((L, L))
-    s20 = np.zeros((L, L))
-    s11 = np.zeros((L, L))
-    s02 = np.zeros((L, L))
-    t00 = np.zeros((L, L))
-    t10 = np.zeros((L, L))
-    t01 = np.zeros((L, L))
-    counts = np.zeros((L, L), dtype=np.int64)
+    # A moment over the raw pairs (j, l) of distinct observations of one
+    # curve, with factors a_j(r) and b_l(q) at cell (r, q), is
+    # sum_j a_j(r) B_j(q): B_j sums b over the observations of j's curve
+    # before j and after j, so no j = l term enters. The sums run along
+    # each curve's observations, padded with an empty slot at both ends.
+    rows, cols, d, w = _kernel_weights(u, grid.points, h_gamma)
+    Wa = sparse.csr_array((w, cols, np.searchsorted(rows, np.arange(L + 1))), shape=(L, N))
 
-    lo = np.searchsorted(u1s, pts - h_gamma, side="right")
-    hi = np.searchsorted(u1s, pts + h_gamma, side="left")
-    for r in range(L):
-        sl = slice(lo[r], hi[r])
-        if sl.stop <= sl.start:
-            continue
-        dx = (u1s[sl] - pts[r]) / h_gamma
-        w1 = epanechnikov(dx)
-        uw = u2s[sl]
-        cw = cs[sl]
-        dy = (uw[None, :] - pts[:, None]) / h_gamma
-        w2 = epanechnikov(dy)
-        b1 = w2 * dy
-        rhs = np.stack([w1, w1 * dx, w1 * dx * dx, w1 * cw, w1 * dx * cw], axis=1)
-        m0 = w2 @ rhs
-        s00[r], s10[r], s20[r], t00[r], t10[r] = m0.T
-        m1 = b1 @ rhs[:, [0, 1, 3]]
-        s01[r], s11[r], t01[r] = m1.T
-        s02[r] = (w2 * dy * dy) @ w1
-        counts[r] = (w2 > 0) @ (w1 > 0).astype(np.int64)
+    def moment(a, b):
+        padded = np.zeros((sizes.size, sizes.max() + 2, L))
+        padded[curve[cols], slot[cols] + 1, rows] = b
+        others = np.cumsum(padded, axis=1)[curve, slot]
+        others += np.cumsum(padded[:, ::-1], axis=1)[:, ::-1][curve, slot + 2]
+        Wa.data = a
+        return Wa @ others
 
+    positive = (w > 0).astype(float)
+    counts = np.rint(moment(positive, positive)).astype(np.int64)
     mask = counts >= int(min_pairs)
-    surface = np.full((L, L), np.nan)
 
-    # Batched 3x3 normal-equation solves on estimable cells, in h-scaled
-    # coordinates so the determinant test is scale free.
+    # Batched 3x3 normal equations in the design (1, d1, d2), h-scaled so the
+    # determinant test is scale free; the raw covariance is resid_j * resid_l
+    # and column i of the design is left[i](d_j) * right[i](d_l).
+    left, right, r = (1.0, d, 1.0), (1.0, 1.0, d), resid[cols]
     A = np.empty((L, L, 3, 3))
-    A[..., 0, 0] = s00
-    A[..., 0, 1] = A[..., 1, 0] = s10
-    A[..., 0, 2] = A[..., 2, 0] = s01
-    A[..., 1, 1] = s20
-    A[..., 1, 2] = A[..., 2, 1] = s11
-    A[..., 2, 2] = s02
-    b = np.stack([t00, t10, t01], axis=-1)
+    b = np.empty((L, L, 3))
+    for i in range(3):
+        b[..., i] = moment(w * left[i] * r, w * right[i] * r)
+        for j in range(i, 3):
+            A[..., i, j] = A[..., j, i] = moment(w * left[i] * left[j], w * right[i] * right[j])
+    s00, t00 = A[..., 0, 0], b[..., 0]
+    surface = np.full((L, L), np.nan)
     det = np.linalg.det(A)
     scale = np.maximum(s00, 1e-300) ** 3
     solvable = mask & (np.abs(det) > 1e-10 * scale)
@@ -370,8 +374,8 @@ def llk_covariance(
     if np.any(fallback):
         surface[fallback] = t00[fallback] / s00[fallback]
 
-    # Mask and moments are exactly symmetric because both pair orders enter;
-    # averaging removes rounding asymmetry.
+    # Mask and moments are symmetric because every pair enters in both
+    # orders (j before l and after l); averaging removes rounding asymmetry.
     mask &= mask.T
     with np.errstate(invalid="ignore"):
         surface = 0.5 * (surface + surface.T)
@@ -383,7 +387,7 @@ def llk_covariance(
         mask,
         h_gamma,
         diagnostics={
-            "n_pairs": int(u1.size),
+            "n_pairs": n_pairs,
             "n_fallback": int(fallback.sum()),
             "mask_coverage": float(mask.mean()),
         },
@@ -416,6 +420,39 @@ def _difference_pairs(dataset: FunctionalDataset, mean: MeanEstimate, h_t: float
     return np.concatenate(s_parts), np.concatenate(t_parts), np.concatenate(d_parts)
 
 
+def _noise_fits(s, t, d, targets, h_s: float, h_t: float) -> np.ndarray:
+    """Local noise fits: the intercept of d at each target, NaN where the fit is skipped.
+
+    Pairs are weighted by the midpoint kernel times the gap kernel. A
+    target is skipped with fewer than five pairs in its midpoint window or
+    fewer than five of positive weight. The design is (1, midpoint offset,
+    squared gap); the gap column drops where the positively weighted
+    squared gaps span at most 1e-8, and a singular design falls back to the
+    local-constant value.
+    """
+    n = targets.size
+    rows, cols, ds, w = _kernel_weights(s, targets, h_s)
+    w = w * epanechnikov(t / h_t)[cols]
+    tq = ((t / h_t) ** 2)[cols]
+    pos = w > 0
+    fit = (np.bincount(rows, minlength=n) >= 5) & (np.bincount(rows[pos], minlength=n) >= 5)
+    tq_max, tq_min = np.full(n, -np.inf), np.full(n, np.inf)
+    np.maximum.at(tq_max, rows[pos], tq[pos])
+    np.minimum.at(tq_min, rows[pos], tq[pos])
+    A, b = _normal_equations(rows, n, w, (1.0, ds, tq), d[cols])
+    # Without the gap column the 3x3 system carries an identity row and
+    # column in its place, which leaves the intercept of the 2x2 solve.
+    linear = tq_max - tq_min <= 1e-8
+    A[linear, 2, :2] = A[linear, :2, 2] = b[linear, 2] = 0.0
+    A[linear, 2, 2] = 1.0
+    singular = fit & (np.linalg.det(A) == 0.0)
+    solve = fit & ~singular
+    values = np.full(n, np.nan)
+    values[solve] = np.linalg.solve(A[solve], b[solve][..., None])[:, 0, 0]
+    values[singular] = b[singular, 0] / A[singular, 0, 0]
+    return np.where(np.isfinite(values), values, np.nan)
+
+
 def estimate_noise_variance(
     dataset: FunctionalDataset,
     mean: MeanEstimate,
@@ -446,50 +483,15 @@ def estimate_noise_variance(
     h_s = cov.bandwidth
 
     # Gap bandwidth: narrow, but wide enough to keep the closest lattice shell.
-    gap_min = np.inf
-    for c in dataset.curves:
-        d = np.diff(c.u)
-        d = d[d > 0]
-        if d.size:
-            gap_min = min(gap_min, float(d.min()))
-    if not np.isfinite(gap_min):
+    gaps = np.concatenate([np.diff(c.u) for c in dataset.curves])
+    if not np.any(gaps > 0):
         raise NotEstimableError("noise variance not identifiable: no positive gaps")
-    h_t = max(0.5 * h_s, 2.6 * gap_min)
+    h_t = max(0.5 * h_s, 2.6 * float(gaps[gaps > 0].min()))
 
     s, t, d = _difference_pairs(dataset, mean, h_t)
     if s.size == 0:
         raise NotEstimableError("noise variance not identifiable: no close pairs")
-    order = np.argsort(s, kind="stable")
-    s, t, d = s[order], t[order], d[order]
-    wt_t = epanechnikov(t / h_t)
-    t2 = (t / h_t) ** 2
-
-    values = np.full(targets.size, np.nan)
-    lo = np.searchsorted(s, targets - h_s, side="right")
-    hi = np.searchsorted(s, targets + h_s, side="left")
-    for i, s0 in enumerate(targets):
-        sl = slice(lo[i], hi[i])
-        if sl.stop - sl.start < 5:
-            continue
-        ds = (s[sl] - s0) / h_s
-        w = epanechnikov(ds) * wt_t[sl]
-        pos = w > 0
-        if int(pos.sum()) < 5:
-            continue
-        cols = [np.ones(sl.stop - sl.start), ds]
-        tq = t2[sl]
-        if np.ptp(tq[pos]) > 1e-8:
-            cols.append(tq)
-        X = np.stack(cols, axis=1)
-        Xw = X * w[:, None]
-        A = Xw.T @ X
-        bvec = Xw.T @ d[sl]
-        try:
-            beta = np.linalg.solve(A, bvec)
-        except np.linalg.LinAlgError:
-            beta = np.array([bvec[0] / A[0, 0]])
-        if np.isfinite(beta[0]):
-            values[i] = beta[0]
+    values = _noise_fits(s, t, d, targets, h_s, h_t)
     ok = np.isfinite(values)
     if not np.any(ok):
         raise NotEstimableError("noise variance not identifiable: interior fits failed")

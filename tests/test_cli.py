@@ -210,6 +210,44 @@ class TestConfigFile:
         assert summary["bandwidths"]["h_gamma"] == 0.08  # flag wins
         assert summary["bandwidths"]["h_x"] == 0.1       # config applies
 
+    def test_config_sets_defaulted_flags(self, tmp_path, capsys):
+        # grid_size and min_pairs have non-None defaults; the file must still
+        # set them, each converted by its flag's type, and a flag still wins.
+        inp = make_input(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-size=21\nmin_pairs=7\nemit_scores=yes\ndomain=0,1\n")
+        out = tmp_path / "fit"
+        code = main([
+            "--config", str(cfg), "fit", "--input", str(inp), "--out-dir", str(out),
+            "--h-x", "0.1", "--h-mu", "0.06", "--h-gamma", "0.08",
+        ])
+        assert code == 0
+        comment, _, *rows = (out / "mean.csv").read_text().splitlines()
+        assert len(rows) == 21
+        assert "grid_size=21 " in comment and "min_pairs=7 " in comment
+        assert "domain=0.0,1.0 " in comment
+        assert (out / "scores.csv").exists()
+
+        code = main([
+            "--config", str(cfg), "fit", "--input", str(inp), "--out-dir", str(out),
+            "--min-pairs", "5", *FIT_FLAGS,
+        ])
+        assert code == 0
+        comment = (out / "mean.csv").read_text().splitlines()[0]
+        assert "grid_size=21 " in comment and "min_pairs=5 " in comment
+
+    @pytest.mark.parametrize("line", ["grid_size=many", "emit_scores=maybe",
+                                      "scores_quadrature=simpson", "domain=0"])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, line):
+        inp = make_input(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main([
+            "--config", str(cfg), "fit", "--input", str(inp), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "config key" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         inp = make_input(tmp_path)
         cfg = tmp_path / "run.cfg"

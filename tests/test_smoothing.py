@@ -275,3 +275,171 @@ class TestBandwidths:
         assert big.h_x < small.h_x
         assert big.h_mu < small.h_mu
         assert big.h_gamma < small.h_gamma
+
+
+def _raw_pairs_oracle(ds, mean):
+    """Every ordered within-curve pair j != l as (u_j, u_l, centred product)."""
+    u1, u2, c = [], [], []
+    for curve in ds.curves:
+        r = curve.y - mean.at(curve.u)
+        for j in range(curve.n_obs):
+            for k in range(curve.n_obs):
+                if j != k:
+                    u1.append(curve.u[j])
+                    u2.append(curve.u[k])
+                    c.append(r[j] * r[k])
+    return np.array(u1), np.array(u2), np.array(c)
+
+
+def _covariance_oracle(ds, mean, h, min_pairs):
+    """Cell-by-cell 3x3 weighted normal equations over all raw pairs.
+
+    Returns (surface, mask, counts, n_fallback) by the rules llk_covariance
+    documents: a pair enters a cell when both coordinates lie strictly
+    inside the kernel windows, the cell needs min_pairs pairs of positive
+    weight in both coordinates, a singular design takes the local-constant
+    value, and the surface is symmetrized.
+    """
+    u1, u2, c = _raw_pairs_oracle(ds, mean)
+    g = ds.grid.points
+    L = g.size
+    surface = np.full((L, L), np.nan)
+    counts = np.zeros((L, L), dtype=int)
+    n_fallback = 0
+    for r in range(L):
+        for q in range(L):
+            d1, d2 = (u1 - g[r]) / h, (u2 - g[q]) / h
+            inside = (u1 > g[r] - h) & (u1 < g[r] + h) & (u2 > g[q] - h) & (u2 < g[q] + h)
+            k1, k2 = epanechnikov(d1) * inside, epanechnikov(d2) * inside
+            w = k1 * k2
+            counts[r, q] = np.count_nonzero((k1 > 0) & (k2 > 0))
+            if counts[r, q] < min_pairs:
+                continue
+            X = np.stack([np.ones_like(d1), d1, d2], axis=1)
+            A = X.T @ (w[:, None] * X)
+            b = X.T @ (w * c)
+            if abs(np.linalg.det(A)) > 1e-10 * A[0, 0] ** 3:
+                surface[r, q] = np.linalg.solve(A, b)[0]
+            else:
+                surface[r, q] = b[0] / A[0, 0]
+                n_fallback += 1
+    mask = (counts >= min_pairs) & (counts >= min_pairs).T
+    surface = 0.5 * (surface + surface.T)
+    surface[~mask] = np.nan
+    return surface, mask, counts, n_fallback
+
+
+def _noise_pairs_oracle(ds, mean, h_t):
+    """All within-curve pairs closer than h_t as (midpoint, gap, half squared difference)."""
+    s, t, d = [], [], []
+    for curve in ds.curves:
+        r = curve.y - mean.at(curve.u)
+        for j in range(curve.n_obs):
+            for k in range(j + 1, curve.n_obs):
+                gap = curve.u[k] - curve.u[j]
+                if gap < h_t:
+                    s.append(0.5 * (curve.u[k] + curve.u[j]))
+                    t.append(gap)
+                    d.append(0.5 * (r[k] - r[j]) ** 2)
+    return np.array(s), np.array(t), np.array(d)
+
+
+def _noise_fit_oracle(s, t, d, target, h_s, h_t):
+    """One target's noise fit solved directly; (value or None, number of columns)."""
+    window = (s > target - h_s) & (s < target + h_s)
+    ds_ = (s[window] - target) / h_s
+    w = epanechnikov(ds_) * epanechnikov(t[window] / h_t)
+    pos = w > 0
+    if window.sum() < 5 or pos.sum() < 5:
+        return None, 0
+    tq = (t[window] / h_t) ** 2
+    cols = [np.ones(ds_.size), ds_] + ([tq] if np.ptp(tq[pos]) > 1e-8 else [])
+    X = np.stack(cols, axis=1)
+    A = X.T @ (w[:, None] * X)
+    b = X.T @ (w * d[window])
+    try:
+        return float(np.linalg.solve(A, b)[0]), len(cols)
+    except np.linalg.LinAlgError:
+        return float(b[0] / A[0, 0]), len(cols)
+
+
+class TestBruteForceOracles:
+    """The windowed estimators against direct solves over all raw pairs."""
+
+    def _assert_covariance_matches(self, ds, mean, h):
+        for min_pairs in (1, 3, 5, 8):
+            cov = llk_covariance(ds, mean, ds.grid, h, min_pairs=min_pairs)
+            surface, mask, counts, n_fallback = _covariance_oracle(ds, mean, h, min_pairs)
+            assert np.array_equal(cov.mask, mask)
+            assert cov.diagnostics["n_fallback"] == n_fallback
+            assert cov.diagnostics["n_pairs"] == sum(c.n_obs * (c.n_obs - 1) for c in ds.curves)
+            scale = np.max(np.abs(surface[mask]))
+            np.testing.assert_allclose(cov.surface[mask], surface[mask], rtol=1e-12, atol=1e-12 * scale)
+        return counts, n_fallback
+
+    def test_covariance_random_fragments(self):
+        # Fragments leave cells below min_pairs in the far corners.
+        rng = np.random.default_rng(31)
+        curves = []
+        for i in range(12):
+            a = rng.uniform(0, 0.5)
+            u = np.sort(rng.uniform(a, a + 0.5, 8))
+            curves.append(Curve(f"c{i}", u, np.sin(3 * u) * rng.normal() + 0.2 * rng.normal(size=8)))
+        ds = build_dataset(curves, domain=(0, 1), grid_size=11)
+        mean = llk_mean(ds, ds.grid, 0.2)
+        counts, _ = self._assert_covariance_matches(ds, mean, 0.15)
+        assert np.any((counts > 0) & (counts < 8)) and np.any(counts >= 8)
+
+    def test_covariance_singular_cells_fall_back(self):
+        # On [0, 0.5] only lattice points 0.25 apart fall in a 0.15 window,
+        # so every window there holds one abscissa: a singular design.
+        rng = np.random.default_rng(37)
+        lattice = np.linspace(0, 1, 5)
+        curves = [Curve(f"l{i}", lattice, rng.normal() * lattice + rng.normal(size=5) * 0.1)
+                  for i in range(10)]
+        for i in range(10):
+            u = np.sort(rng.uniform(0.55, 1.0, 8))
+            curves.append(Curve(f"r{i}", u, rng.normal() * u))
+        ds = build_dataset(curves, domain=(0, 1), grid_size=21)
+        mean = llk_mean(ds, ds.grid, 0.3)
+        _, n_fallback = self._assert_covariance_matches(ds, mean, 0.15)
+        assert n_fallback > 0
+
+    def test_noise_variance_target_by_target(self):
+        # Curves of two points 0.02 apart on [0.1, 0.5] give targets there a
+        # single gap level, which drops the quadratic gap column; dense
+        # random curves on [0.45, 0.95] keep it elsewhere.
+        from fdrecon.smoothing import _noise_fits
+
+        rng = np.random.default_rng(41)
+        curves = []
+        for i in range(60):
+            a = rng.uniform(0.1, 0.48)
+            u = np.array([a, a + 0.02])
+            curves.append(Curve(f"p{i}", u, rng.normal() + 0.1 * rng.normal(size=2)))
+        for i in range(30):
+            u = np.sort(rng.uniform(0.45, 0.95, 12))
+            curves.append(Curve(f"r{i}", u, rng.normal() * u + 0.1 * rng.normal(size=12)))
+        ds = build_dataset(curves, domain=(0, 1), grid_size=41)
+        mean = llk_mean(ds, ds.grid, 0.15)
+        cov = llk_covariance(ds, mean, ds.grid, 0.1)
+        nv = estimate_noise_variance(ds, mean, cov)
+
+        h_s, h_t = cov.bandwidth, nv.diagnostics["h_t"]
+        g = ds.grid.points
+        targets = g[(g >= 0.25 - 1e-12) & (g <= 0.75 + 1e-12) & np.diagonal(cov.mask)]
+        s, t, d = _noise_pairs_oracle(ds, mean, h_t)
+        fits = [_noise_fit_oracle(s, t, d, x, h_s, h_t) for x in targets]
+        want = np.array([np.nan if v is None else v for v, _ in fits])
+        n_cols = {k for _, k in fits}
+        assert {2, 3} <= n_cols
+
+        got = _noise_fits(s, t, d, targets, h_s, h_t)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        ok = np.isfinite(want)
+        np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=1e-12 * np.max(np.abs(want[ok])))
+
+        assert nv.diagnostics["n_targets"] == ok.sum()
+        assert nv.diagnostics["n_pairs"] == s.size
+        assert nv.diagnostics["frac_clipped"] == np.mean(want[ok] < 0)
+        assert nv.sigma2 == pytest.approx(np.mean(np.clip(want[ok], 0, None)), rel=1e-12)
