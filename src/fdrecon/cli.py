@@ -72,21 +72,38 @@ def _config_value(key: str, action: argparse.Action, raw: str):
 def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse argv; config-file values become the defaults of the command's flags.
 
-    Parsing again after that lets the flags given on the command line win.
+    A parser of the global flags alone reads ``--config`` and the command
+    first. A required flag the file sets then stops being required, and the
+    one full parse lets the flags given on the command line win.
     """
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    actions = _config_actions(parser, args.command)
-    for key, raw in _read_config_file(args.config).items():
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_global_flags(pre)
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError:  # the full parse reports it
+        return parser.parse_args(argv)
+    command = known.rest[0] if known.rest else None
+    if not known.config or command not in _CONFIGURABLE:
+        return parser.parse_args(argv)
+    actions = _config_actions(parser, command)
+    lists = {}
+    for key, raw in _read_config_file(known.config).items():
         if key not in actions:
-            raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
+            raise UsageError(f"unknown config key {key!r} for command {command!r}")
         action = actions[key]
-        # A repeated flag would append to the config's list instead of replacing it.
-        if isinstance(action, argparse._AppendAction) and getattr(args, key) is not None:
-            continue
-        action.default = _config_value(key, action, raw)
-    return parser.parse_args(argv)
+        value = _config_value(key, action, raw)
+        action.required = False
+        # A repeated flag would append to the file's list instead of replacing it.
+        if isinstance(action, argparse._AppendAction):
+            lists[key] = value
+        else:
+            action.default = value
+    args = parser.parse_args(argv)
+    for key, value in lists.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return args
 
 
 def _resolved_config_comment(command: str, args: argparse.Namespace) -> str:
@@ -361,17 +378,21 @@ def _add_common_fit_flags(p: argparse.ArgumentParser) -> None:
                    default="riemann", help="integration rule for integral scores")
 
 
+def _add_global_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--error-json", action="store_true",
+                   help="print a machine-readable JSON error to stderr on failure")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (numeric output is thread-count invariant)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdrecon",
         description="Reconstruct the missing segments of partially observed curves.",
     )
     parser.add_argument("--version", action="version", version=f"fdrecon {__version__}")
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--error-json", action="store_true",
-                        help="print a machine-readable JSON error to stderr on failure")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (numeric output is thread-count invariant)")
+    _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="estimate mean, covariance, eigensystem and scores")

@@ -56,37 +56,48 @@ def _choose_next_rows(
             return None
         return pick if pick.size >= 2 else None
 
-    # Candidate windows sit flush against a coverage edge facing an
-    # uncovered frontier; among them prefer the one that newly covers the
-    # most points, breaking ties toward the wider window (more information),
-    # then toward the rightmost frontier.
-    best: tuple[int, int, int, np.ndarray] | None = None
-    uncovered = np.nonzero(~covered)[0]
-    runs = np.split(uncovered, np.nonzero(np.diff(uncovered) > 1)[0] + 1)
-    for run in runs:
-        for frontier, direction in ((run[0], -1), (run[-1], +1)):
-            edge = frontier + direction
-            if edge < 0 or edge >= L or not covered[edge]:
-                continue
-            # The covered run the window may occupy.
-            stop = edge
-            while 0 <= stop + direction < L and covered[stop + direction]:
-                stop += direction
-            lo, hi = (stop, edge) if direction == -1 else (edge, stop)
-            for c in range(lo, hi):
-                w = np.arange(c, hi + 1) if direction == -1 else np.arange(lo, hi + 1 - (c - lo))
-                if w.size < 2 or not np.all(mask[np.ix_(w, w)]):
-                    continue
-                reach = np.all(mask[np.ix_(uncovered, w)], axis=1)
-                n_new = int(reach.sum())
-                if n_new == 0:
-                    continue
-                cand = (n_new, w.size, frontier, w)
-                if best is None or (cand[0], cand[1], cand[2]) > (best[0], best[1], best[2]):
-                    best = cand
-    if best is None:
+    # Candidate windows sit inside a covered run, flush against its end that
+    # faces an uncovered point: forward windows [lo, lo + k] of a run that
+    # starts after a gap, backward windows [hi - k, hi] of a run that ends
+    # before one. Among the windows whose covariance square is estimable,
+    # prefer the one that newly covers the most points, breaking ties toward
+    # the wider window (more information), then toward the rightmost
+    # frontier, then toward the backward window.
+    lo, hi = _runs(covered)
+    fwd, bwd = lo > 0, hi < L - 1
+    anchor = np.concatenate([lo[fwd], hi[bwd]])
+    sign = np.repeat([1, -1], [np.count_nonzero(fwd), np.count_nonzero(bwd)])
+    n_cand = np.concatenate([hi[fwd] - lo[fwd], hi[bwd] - lo[bwd]])
+    seg = np.repeat(np.arange(n_cand.size), n_cand)
+    k = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
+    anchor, sign = anchor[seg], sign[seg]
+    a = np.minimum(anchor, anchor + sign * k)
+    b = a + k + 1
+
+    # Prefix sums of the non-estimable cells: the square [a, b) x [a, b) and
+    # each uncovered row over [a, b) are estimable when they count none.
+    bad = ~np.asarray(mask, dtype=bool)
+    square = np.zeros((L + 1, L + 1), dtype=np.int64)
+    square[1:, 1:] = bad.cumsum(axis=0).cumsum(axis=1)
+    rows = np.zeros((L - covered.sum(), L + 1), dtype=np.int64)
+    rows[:, 1:] = bad[~covered].cumsum(axis=1)
+    in_band = square[b, b] - square[a, b] - square[b, a] + square[a, a] == 0
+    n_new = np.count_nonzero(rows[:, b] == rows[:, a], axis=0)
+
+    # One integer per candidate orders (n_new, size, frontier, backward);
+    # it is 0 where the square is not estimable or nothing new is reached.
+    key = ((n_new * (L + 1) + k) * L + anchor - sign) * 2 + (sign < 0)
+    key *= in_band & (n_new > 0)
+    if not key.any():
         return None
-    return best[3]
+    best = int(np.argmax(key))
+    return np.arange(a[best], b[best])
+
+
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of every run of True in a boolean vector."""
+    step = np.diff(np.concatenate([[0], flags.astype(np.int8), [0]]))
+    return np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
 
 
 def choose_next_interval(
@@ -98,9 +109,10 @@ def choose_next_interval(
 ) -> Subdomain | None:
     """Next pseudo-observed interval, or None when no extension is possible.
 
-    greedy-band picks, among the coverage runs adjacent to an uncovered
-    frontier, the widest one whose covariance square is estimable and whose
-    extrapolation reaches strictly beyond the coverage. app3 replays the
+    greedy-band picks, among the windows flush against a coverage edge that
+    faces an uncovered point, one whose covariance square is estimable and
+    whose extrapolation reaches the most uncovered points, the widest among
+    those, then the one with the rightmost frontier. app3 replays the
     practical three-step recipe: the original interval is step 1, then the
     upper half of the coverage hull, then the lower half.
     """
@@ -200,11 +212,11 @@ def iterative_reconstruct(
             if not np.all(covered[o_r.grid_indices]):
                 raise UsageError(f"step {r} subdomain is not inside the current coverage")
         else:
-            coverage_sub = Subdomain.from_indices(grid, np.nonzero(covered)[0])
-            o_r = choose_next_interval(coverage_sub, model.cov.mask, plan.strategy, step=r, grid=grid)
-            if o_r is None:
+            rows = _choose_next_rows(covered, model.cov.mask, plan.strategy, r)
+            if rows is None:
                 stalled_at = r
                 break
+            o_r = Subdomain.from_indices(grid, rows)
         try:
             eigsys = model.eigensystem_for(o_r)
         except (NotEstimableError, DataError):

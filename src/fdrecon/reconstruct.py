@@ -217,7 +217,7 @@ def reconstruct_ano(
     bad = ~np.isfinite(values)
     values = np.where(bad, np.nan, values)
     provenance[bad] = PROV_NON_ESTIMABLE
-    ev = error_variance(eigsys, model.cov, grid.points) if include_error_variance else None
+    ev = error_variance(eigsys, model.cov, grid.points, k) if include_error_variance else None
     method = "anoce" if scores_method == "ce" else "ano"
     return ReconstructedCurve(
         curve.id, grid, values, provenance, k, method, ev,
@@ -350,7 +350,7 @@ def reconstruct_ayes(
         values[bad] = np.nan
         provenance[bad] = PROV_NON_ESTIMABLE
 
-    ev = error_variance(eigsys, model.cov, grid.points) if include_error_variance else None
+    ev = error_variance(eigsys, model.cov, grid.points, k) if include_error_variance else None
     method = "ayesce" if scores_method == "ce" else "ayes"
     return ReconstructedCurve(
         curve.id, grid, values, provenance, k, method, ev,
@@ -392,7 +392,7 @@ def reconstruct_pace(
     values = model.mean.values + (phi @ scores.values if k else 0.0)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
     provenance[curve_subdomain(curve, grid).grid_indices] = PROV_OBSERVED
-    ev = error_variance(eigsys, model.cov, grid.points) if include_error_variance else None
+    ev = error_variance(eigsys, model.cov, grid.points, k) if include_error_variance else None
     return ReconstructedCurve(
         curve.id, grid, values, provenance, k, "pace", ev,
         diagnostics={"score_flags": list(scores.flags)},
@@ -461,7 +461,9 @@ def reconstruct_kraus(
     The missing part is predicted from the smoothed observed part through
     the discretized covariance operator with a ridge on the observed block.
     When ``rho`` is not given it is chosen by the generalized
-    cross-validation over completely observed curves.
+    cross-validation over completely observed curves. The ridge has no
+    truncation, so the error variance, when asked for, sums over every
+    component the observed interval's eigensystem retains.
     """
     grid = model.grid
     o_sub = curve_subdomain(curve, grid)
@@ -492,18 +494,20 @@ def reconstruct_kraus(
     )
 
 
-def error_variance(eigsys: EigenSystem, cov: CovarianceEstimate, u) -> np.ndarray:
+def error_variance(
+    eigsys: EigenSystem, cov: CovarianceEstimate, u, k: int | None = None
+) -> np.ndarray:
     """Pointwise variance of the optimal-reconstruction error.
 
-    Returns max(0, gamma(u, u) - sum_k lambda_k * ext_k(u)^2) over the
-    retained components; NaN where the diagonal or the extrapolated basis
-    is not estimable.
+    Returns max(0, gamma(u, u) - sum_k lambda_k * ext_k(u)^2) over the first
+    ``k`` components, or over every retained one when ``k`` is None; NaN
+    where the diagonal or the extrapolated basis is not estimable.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     diag_ok = _bilinear(cov.grid.points, cov.mask.astype(float), u, u) >= 1 - 1e-9
     gamma_uu = cov.at(u, u)
-    ext = eigsys.extrapolated_at(u)
-    total = np.einsum("uk,k->u", ext * ext, eigsys.eigenvalues)
+    ext = eigsys.extrapolated_at(u, k)
+    total = np.einsum("uk,k->u", ext * ext, eigsys.eigenvalues[:k])
     out = np.clip(gamma_uu - total, 0.0, None)
     out[~diag_ok] = np.nan
     out[~np.isfinite(total)] = np.nan

@@ -33,6 +33,11 @@ def epanechnikov(v):
     return out if out.ndim else float(out)
 
 
+def _raw_pair_count(dataset: FunctionalDataset) -> int:
+    """Raw covariance pairs: ordered pairs of distinct observations of a curve, sum m_i (m_i - 1)."""
+    return sum(c.n_obs * (c.n_obs - 1) for c in dataset.curves)
+
+
 @dataclass(frozen=True)
 class Bandwidths:
     """Bandwidths for the curve, mean and covariance smoothers (domain units)."""
@@ -68,7 +73,7 @@ class Bandwidths:
             sd = (dataset.domain[1] - dataset.domain[0]) / 4.0
         n = dataset.n_curves
         m_bar = pooled.size / n
-        n_pairs = sum(c.n_obs * (c.n_obs - 1) for c in dataset.curves)
+        n_pairs = _raw_pair_count(dataset)
         h_x = c_x * sd * m_bar ** (-0.2)
         h_mu = c_mu * sd * pooled.size ** (-0.2)
         h_gamma = c_gamma * sd * max(n_pairs, 2) ** (-1.0 / 6.0)
@@ -323,7 +328,7 @@ def llk_covariance(
     elsewhere. Singular local designs degrade to local-constant fits.
     """
     sizes = np.array([c.n_obs for c in dataset.curves])
-    n_pairs = int(np.sum(sizes * (sizes - 1)))
+    n_pairs = _raw_pair_count(dataset)
     if n_pairs == 0:
         raise DataError("no within-curve observation pairs")
     u = dataset.pooled_u()

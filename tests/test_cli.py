@@ -280,6 +280,38 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key 'emit_scores'" in capsys.readouterr().err
 
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        inp = make_input(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={inp}\nout-dir={tmp_path / 'from_file'}\n")
+        code = main(["--config", str(cfg), "fit", *FIT_FLAGS])
+        assert code == 0
+        assert (tmp_path / "from_file" / "mean.csv").exists()
+
+        code = main(["--config", str(cfg), "fit", "--out-dir", str(tmp_path / "flag"), *FIT_FLAGS])
+        assert code == 0
+        assert (tmp_path / "flag" / "mean.csv").exists()
+
+        # A required flag the file does not set is still required.
+        cfg.write_text(f"input={inp}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "fit", *FIT_FLAGS])
+        assert exc.value.code == 2
+        assert "--out-dir" in capsys.readouterr().err
+
+    def test_config_list_replaced_by_repeated_flag(self, tmp_path, capsys):
+        inp = make_input(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curve_id=c000,c001\n")
+        out = tmp_path / "rec"
+        base = ["--config", str(cfg), "reconstruct", "--input", str(inp), "--out-dir", str(out),
+                "--method", "ano", "--k", "1", *FIT_FLAGS]
+        assert main(base) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["recon_c000_ano.csv", "recon_c001_ano.csv"]
+        out2 = tmp_path / "rec2"
+        assert main([*base[:6], str(out2), *base[7:], "--curve-id", "c002"]) == 0
+        assert [p.name for p in out2.iterdir()] == ["recon_c002_ano.csv"]
+
 
 def test_console_entry_point_help():
     proc = subprocess.run(

@@ -18,7 +18,9 @@ from fdrecon import (
     iterative_reconstruct,
     reconstruct_with_method,
 )
+from fdrecon import iterative
 from fdrecon.core import DomainGrid
+from fdrecon.iterative import _choose_next_rows
 from fdrecon.simulation import DgpConfig
 
 
@@ -43,6 +45,144 @@ def coverage_after_one_step(first_interval, band, grid_size=51):
     inside = (grid.points >= a - 1e-12) & (grid.points <= b + 1e-12)
     far = np.maximum(np.abs(grid.points - a), np.abs(grid.points - b))
     return inside | (far <= band + 1e-12)
+
+
+def reference_rows(covered, mask):
+    """The greedy-band window search as a loop over candidate windows.
+
+    For each uncovered run, each covered run flush against it offers its
+    windows that end (direction -1) or start (+1) at the frontier's
+    neighbour, widest first. A window counts when its covariance square is
+    estimable; it reaches the uncovered points whose covariance with the
+    whole window is estimable. The first window to strictly improve on
+    (n_new, size, frontier) wins.
+    """
+    L = mask.shape[0]
+    best = None
+    uncovered = np.nonzero(~covered)[0]
+    runs = np.split(uncovered, np.nonzero(np.diff(uncovered) > 1)[0] + 1)
+    for run in runs:
+        for frontier, direction in ((run[0], -1), (run[-1], +1)):
+            edge = frontier + direction
+            if edge < 0 or edge >= L or not covered[edge]:
+                continue
+            stop = edge
+            while 0 <= stop + direction < L and covered[stop + direction]:
+                stop += direction
+            lo, hi = (stop, edge) if direction == -1 else (edge, stop)
+            for c in range(lo, hi):
+                w = np.arange(c, hi + 1) if direction == -1 else np.arange(lo, hi + 1 - (c - lo))
+                if w.size < 2 or not np.all(mask[np.ix_(w, w)]):
+                    continue
+                n_new = int(np.all(mask[np.ix_(uncovered, w)], axis=1).sum())
+                if n_new == 0:
+                    continue
+                if best is None or (n_new, w.size, frontier) > best[:3]:
+                    best = (n_new, w.size, frontier, w)
+    return None if best is None else best[3]
+
+
+def chosen_rows(covered, mask):
+    """The window _choose_next_rows picks, checked against the reference loop."""
+    covered = np.asarray(covered, dtype=bool)
+    got = _choose_next_rows(covered, mask, "greedy-band", 2)
+    want = reference_rows(covered, mask)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+    return got
+
+
+def brownian_paths(n_paths, seed, grid_points):
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(n_paths, grid_points.size - 1))
+    steps *= np.sqrt(np.diff(grid_points))
+    return np.concatenate([np.zeros((n_paths, 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+def reference_chooser(covered, mask, strategy, step):
+    assert strategy == "greedy-band"
+    return reference_rows(covered, mask)
+
+
+class TestWindowSearchOracle:
+    def test_random_band_masks_with_holes(self):
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for _ in range(400):
+            L = int(rng.integers(4, 60))
+            g = np.arange(L)
+            mask = np.abs(g[:, None] - g[None, :]) <= rng.integers(1, L)
+            for _ in range(rng.integers(0, 4)):
+                i, j = rng.integers(0, L, 2)
+                mask[i, j] = mask[j, i] = False
+            covered = rng.random(L) < rng.uniform(0.1, 0.9)
+            if covered.all():
+                continue
+            outcomes.add(chosen_rows(covered, mask) is None)
+        assert outcomes == {True, False}
+
+    def test_one_point_gap_tie_goes_to_the_window_before_it(self):
+        rows = chosen_rows([1, 1, 1, 0, 1, 1, 1], np.ones((7, 7), bool))
+        assert rows.tolist() == [0, 1, 2]
+
+    def test_equal_reach_prefers_the_wider_window(self):
+        # Both windows reach both gap points; the wider one wins although
+        # the narrower one faces the rightmost frontier.
+        rows = chosen_rows([1, 1, 1, 1, 0, 0, 1, 1], np.ones((8, 8), bool))
+        assert rows.tolist() == [0, 1, 2, 3]
+
+    def test_equal_reach_and_size_prefers_the_rightmost_frontier(self):
+        rows = chosen_rows([1, 1, 0, 0, 1, 1], np.ones((6, 6), bool))
+        assert rows.tolist() == [4, 5]
+
+    def test_reach_beats_size(self):
+        # Under a band of halfwidth 3, [1, 4] reaches no gap point, [2, 4]
+        # reaches point 5 and [3, 4] reaches points 5 and 6.
+        g = np.arange(8)
+        mask = np.abs(g[:, None] - g[None, :]) <= 3
+        rows = chosen_rows([1, 1, 1, 1, 1, 0, 0, 0], mask)
+        assert rows.tolist() == [3, 4]
+
+    def test_no_feasible_window(self):
+        # Only the diagonal is estimable: no square of two points is.
+        assert chosen_rows([1, 1, 0, 0, 1], np.eye(5, dtype=bool)) is None
+        # Squares are estimable but reach nothing uncovered.
+        mask = np.zeros((6, 6), bool)
+        mask[:3, :3] = mask[3:, 3:] = True
+        assert chosen_rows([1, 1, 1, 0, 0, 0], mask) is None
+
+    def test_no_covered_point_has_no_window(self):
+        assert chosen_rows([0, 0, 0, 0], np.ones((4, 4), bool)) is None
+
+    @pytest.mark.parametrize("method", ["ano", "ayes"])
+    def test_iterative_reconstruct_unchanged(self, monkeypatch, method):
+        model = band_model(band=0.3)
+        grid = model.grid
+        rng = np.random.default_rng(2)
+        path = np.concatenate([[1.0], 1.0 + np.cumsum(rng.normal(size=grid.size - 1) * 0.1)])
+        inside = (grid.points >= 0.3 - 1e-12) & (grid.points <= 0.5 + 1e-12)
+        curve = Curve("bm", grid.points[inside], path[inside])
+        plan = IterationPlan(r_max=8, strategy="greedy-band")
+        got = iterative_reconstruct(curve, model, method, plan, k=2, quadrature="trapezoid")
+        assert len(got.diagnostics["steps"]) >= 2
+        monkeypatch.setattr(iterative, "_choose_next_rows", reference_chooser)
+        want = iterative_reconstruct(curve, model, method, plan, k=2, quadrature="trapezoid")
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert np.array_equal(got.provenance, want.provenance)
+        assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("method", ["ano", "ayes"])
+    def test_error_accumulation_unchanged(self, monkeypatch, method):
+        # The criterion-8 set-up; the check chooses its second step through
+        # choose_next_interval.
+        cfg = DgpConfig(dgp=1, n=10, m=15, seed=7, replications=500)
+        kwargs = dict(method=method, band_halfwidth=0.5,
+                      gamma_fn=lambda u, v: np.minimum(u, v), sample_paths=brownian_paths)
+        got = check_error_accumulation(cfg, **kwargs)
+        monkeypatch.setattr(iterative, "_choose_next_rows", reference_chooser)
+        assert check_error_accumulation(cfg, **kwargs) == got
 
 
 class TestChooseNextInterval:

@@ -360,6 +360,36 @@ class TestErrorVariance:
         assert np.all(error_variance(fewer, model.cov, u) >= full - 1e-12)
 
 
+    def test_small_k_leaves_the_dropped_variance(self):
+        # On an estimated covariance the sum over every retained component
+        # reaches gamma(u, u), so the clipped variance reads 0; the K a
+        # reconstruction used leaves the variance of the components it drops.
+        ds, _ = rank3_dataset(n=80, m=40, seed=4, noise=0.05, frag_prob=0.0)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        grid = model.grid
+        c = ds.curves[0]
+        part = Curve("part", c.u[c.u <= 0.6], c.y[c.u <= 0.6])
+        eig = model.eigensystem_for(curve_subdomain(part, grid))
+        want = error_variance(eig, model.cov, grid.points, k=1)
+        assert np.nanmax(want) > 1e-2
+        assert np.nanmax(error_variance(eig, model.cov, grid.points)) < np.nanmax(want)
+        for method in ("ano", "ayes", "ayesce"):
+            rec = reconstruct_with_method(method, part, model, k=1, include_error_variance=True)
+            np.testing.assert_array_equal(rec.error_variance, want)
+        pace = reconstruct_pace(part, model, 1, include_error_variance=True)
+        np.testing.assert_array_equal(
+            pace.error_variance, error_variance(model.full_eigensystem(), model.cov, grid.points, k=1)
+        )
+
+    def test_k_beyond_the_retained_components_is_the_full_sum(self):
+        model = brownian_model()
+        eig = model.eigensystem_for(Subdomain.from_interval(model.grid, 0.0, 0.5))
+        u = np.array([0.3, 0.7, 0.9])
+        np.testing.assert_array_equal(
+            error_variance(eig, model.cov, u, k=eig.k_available + 5), error_variance(eig, model.cov, u)
+        )
+
+
 class TestMethodInvariances:
     def test_score_route_is_the_only_difference(self):
         # With identical score vectors the aligned and plain variants produce
