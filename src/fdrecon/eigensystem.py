@@ -21,7 +21,8 @@ class Subdomain:
     """A union of disjoint subintervals of the domain and the grid points inside them.
 
     ``intervals`` keeps the exact interval ends; ``grid_indices`` holds the
-    grid points they contain, one contiguous run per interval.
+    grid points they contain, one contiguous run per interval. The runs are
+    split once, on construction, and kept.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -41,9 +42,11 @@ class Subdomain:
         for (_, b0), (a1, _) in zip(ivals, ivals[1:]):
             if a1 <= b0:
                 raise DataError("subintervals must be disjoint and ordered")
-        if len(ivals) != len(_contiguous_blocks(idx)):
+        blocks = _contiguous_blocks(idx)
+        if len(ivals) != len(blocks):
             raise DataError("subdomain needs one interval per contiguous run of grid indices")
         object.__setattr__(self, "intervals", ivals)
+        object.__setattr__(self, "_blocks", blocks)
 
     @classmethod
     def from_interval(cls, grid: DomainGrid, a: float, b: float) -> "Subdomain":
@@ -65,7 +68,7 @@ class Subdomain:
 
     def blocks(self) -> list[np.ndarray]:
         """Contiguous runs of grid indices, one per subinterval."""
-        return _contiguous_blocks(self.grid_indices)
+        return self._blocks
 
     def points(self, grid: DomainGrid) -> np.ndarray:
         return grid.points[self.grid_indices]
@@ -167,7 +170,7 @@ def interp_columns(u, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 def _contiguous_blocks(idx: np.ndarray) -> list[np.ndarray]:
     breaks = np.nonzero(np.diff(idx) > 1)[0]
-    return [np.asarray(b) for b in np.split(idx, breaks + 1)]
+    return np.split(idx, breaks + 1)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from .eigensystem import (
     Subdomain,
     eigen_on_subdomain,
     extrapolate_basis,
+    interp_columns,
     _weighted_eigh,
 )
 from .errors import (
@@ -23,14 +24,22 @@ from .errors import (
     NotEstimableError,
     UsageError,
 )
-from .scores import ScoreVector, ce_scores, integral_scores, pace_scores
+from .scores import (
+    ScoreVector,
+    _ce_batch,
+    _integral_batch,
+    _segments,
+    ce_scores,
+    integral_scores,
+    pace_scores,
+)
 from .smoothing import (
     Bandwidths,
     CovarianceEstimate,
     MeanEstimate,
     NoiseVariance,
     _bilinear,
-    _smoothed_curve_on,
+    _smoothed_on,
     estimate_noise_variance,
     llk_covariance,
     llk_mean,
@@ -280,10 +289,18 @@ class _Anchor:
         self.mean = _mix(mean.at(np.array(intervals).ravel()), *self.weights)
         self.phi = _mix(eigsys.end_values[:, :k], *self.weights)
 
-    def shift(self, x_ends: np.ndarray, mean_u: np.ndarray, cut=slice(None)) -> np.ndarray:
-        """(anchor value + mean) - anchor mean at u[cut]; x_ends may hold one column per curve."""
-        ax = _mix(x_ends, *(w[cut] for w in self.weights))
-        amu = self.mean[cut]
+    def shift(self, x_ends: np.ndarray, mean_u: np.ndarray, group=None) -> np.ndarray:
+        """(anchor value + mean) - anchor mean at u; x_ends may hold one column per curve.
+
+        With ``group``, x_ends holds one row per curve and point i takes the
+        end values of row group[i].
+        """
+        lo, hi, w, direct = self.weights
+        if group is not None:
+            n_ends = x_ends.shape[1]
+            x_ends, lo, hi = x_ends.ravel(), group * n_ends + lo, group * n_ends + hi
+        ax = _mix(x_ends, lo, hi, w, direct)
+        amu = self.mean
         if ax.ndim == 2:
             mean_u, amu = mean_u[:, None], amu[:, None]
         return ax + mean_u - amu
@@ -332,7 +349,7 @@ def reconstruct_ayes(
 
     # Observed part: the individual local-linear smoother, with the
     # expansion value as fallback where the local fit fails.
-    smoothed, ok = _smoothed_curve_on(curve, grid.points[o_idx], model.bandwidths.h_x)
+    smoothed, ok = _smoothed_on(curve.u, curve.y, grid.points[o_idx], model.bandwidths.h_x)
     ano_on_o = model.mean.values[o_idx] + (
         eigsys.extrapolated[o_idx, :k] @ scores.values if k else 0.0
     )
@@ -365,17 +382,20 @@ def reconstruct_ayes(
 def _end_smoothing(curve, eigsys, model):
     """Local-linear curve values at the subdomain interval ends and whether each fit held."""
     ends = np.array(eigsys.subdomain.intervals).ravel()
-    return _smoothed_curve_on(curve, ends, model.bandwidths.h_x)
+    return _smoothed_on(curve.u, curve.y, ends, model.bandwidths.h_x)
 
 
 def _anchor_values(smoothing, eigsys, model, scores, k) -> np.ndarray:
-    """Smoothed values at the interval ends, the expansion value where the fit failed."""
+    """Smoothed values at the interval ends, the expansion value where the fit failed.
+
+    ``scores`` is one curve's ScoreVector, or an array with one curve's
+    scores per row; then ``smoothing`` holds one row of end values per curve.
+    """
     x_vals, ok = smoothing
-    x_vals = x_vals.copy()
-    mu_vals = model.mean.at(np.array(eigsys.subdomain.intervals).ravel())
-    for i in np.nonzero(~ok)[0]:
-        x_vals[i] = float(mu_vals[i] + (eigsys.end_values[i, :k] @ scores.values if k else 0.0))
-    return x_vals
+    xi = scores.values if isinstance(scores, ScoreVector) else scores
+    fill = model.mean.at(np.array(eigsys.subdomain.intervals).ravel())
+    fill = fill + xi[..., :k] @ eigsys.end_values[:, :k].T
+    return np.where(ok, x_vals, fill)
 
 
 def reconstruct_pace(
@@ -421,30 +441,39 @@ class _RidgeOperator:
         self.G_mo_w = np.where(np.isnan(G_mo), 0.0, G_mo) * w[None, :]
         self.row_ok = np.all(cov.mask[np.ix_(self.m_idx, idx)], axis=1)
 
-    def observe(self, curve: Curve) -> tuple[np.ndarray, np.ndarray]:
-        """The curve smoothed onto the observed grid points, and those values centred and weighted.
+    def observe(self, u, y, group=None, n: int = 1):
+        """Curves smoothed onto the observed grid points, and those values centred and weighted.
 
-        A point where the local fit fails takes the nearest good value;
-        with no good value at all, raises InsufficientLocalDataError.
+        (u, y) holds one curve's observations, or with ``group`` those of n
+        curves; the results hold one column per curve. A point where the
+        local fit fails takes the nearest good value of its column, the
+        lower one on a tie. Returns (smoothed, z0, ok), where ok is False
+        for a column without any good value.
         """
         points = self.model.grid.points[self.idx]
-        smoothed, ok = _smoothed_curve_on(curve, points, self.model.bandwidths.h_x)
-        if not np.all(ok):
-            good, bad = np.nonzero(ok)[0], np.nonzero(~ok)[0]
-            if good.size == 0:
-                raise InsufficientLocalDataError(points[0], 0)
-            nearest = np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)
-            smoothed[bad] = smoothed[good[nearest]]
-        return smoothed, self.d * (smoothed - self.model.mean.values[self.idx])
+        p = points.size
+        groups = None if group is None else (group, np.repeat(np.arange(n), p))
+        smoothed, good = _smoothed_on(u, y, np.tile(points, n), self.model.bandwidths.h_x,
+                                      groups=groups)
+        smoothed, good = smoothed.reshape(n, p).T, good.reshape(n, p).T
+        rows = np.arange(p)[:, None]
+        before = np.maximum.accumulate(np.where(good, rows, -p), axis=0)
+        after = np.minimum.accumulate(np.where(good, rows, 2 * p)[::-1], axis=0)[::-1]
+        nearest = np.clip(np.where(rows - before <= after - rows, before, after), 0, p - 1)
+        smoothed = np.take_along_axis(smoothed, nearest, axis=0)
+        z0 = self.d[:, None] * (smoothed - self.model.mean.values[self.idx][:, None])
+        return smoothed, z0, good.any(axis=0)
 
     def predict(self, z0: np.ndarray, rho: float) -> np.ndarray:
         """Values on the missing rows from the centred, weighted observed values z0.
 
         (Gamma_OO + rho I)^{-1} is applied in the weighted symmetric
-        eigenbasis; rows whose covariance is not estimable are NaN.
+        eigenbasis; rows whose covariance is not estimable are NaN. z0 may
+        hold one column per curve, and the values then do too.
         """
-        z = (self.q @ ((self.q.T @ z0) / (self.nu + rho))) / self.d
-        vals = self.model.mean.values[self.m_idx] + self.G_mo_w @ z
+        col = (slice(None),) + (None,) * (z0.ndim - 1)
+        z = (self.q @ ((self.q.T @ z0) / (self.nu + rho)[col])) / self.d[col]
+        vals = self.model.mean.values[self.m_idx][col] + self.G_mo_w @ z
         vals[~self.row_ok] = np.nan
         return vals
 
@@ -477,7 +506,10 @@ def reconstruct_kraus(
         raise UsageError(f"ridge parameter must be positive, got {rho}")
 
     op = _RidgeOperator(model, o_sub)
-    smoothed, z0 = op.observe(curve)
+    smoothed, z0, ok = op.observe(curve.u, curve.y)
+    if not ok[0]:
+        raise InsufficientLocalDataError(grid.points[op.idx[0]], 0)
+    smoothed, z0 = smoothed[:, 0], z0[:, 0]
     values = np.full(grid.size, np.nan)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
     values[op.idx] = smoothed
@@ -514,20 +546,45 @@ def error_variance(
     return out
 
 
+def _stacked(parts):
+    """The (u, y) parts concatenated, with the part number of every point."""
+    if not parts:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=int)
+    us, ys = zip(*parts)
+    return np.concatenate(us), np.concatenate(ys), np.repeat(np.arange(len(us)), [u.size for u in us])
+
+
+class _SplitBatch:
+    """The GCV splits of the complete curves, their points stacked split by split.
+
+    ``n_complete`` counts the complete curves and ``n_degenerate`` the
+    splits that are None. The other ``n`` splits are numbered in id order;
+    ``obs`` and ``miss`` hold (u, y, split number) of their pseudo-observed
+    and pseudo-missing points, sorted within each split.
+    """
+
+    def __init__(self, splits: list):
+        live = [split for split in splits if split is not None]
+        self.n_complete = len(splits)
+        self.n = len(live)
+        self.n_degenerate = self.n_complete - self.n
+        self.obs = _stacked([(c.u[inside], c.y[inside]) for c, inside in live])
+        self.miss = _stacked([(c.u[~inside], c.y[~inside]) for c, inside in live])
+
+
 def _gcv_splits(
     model: ReconstructionModel,
     dataset: FunctionalDataset,
     target_m: Subdomain,
     margin_fraction: float,
-) -> tuple[Subdomain, int, list]:
+) -> tuple[Subdomain, _SplitBatch]:
     """The completely observed curves split at the target's missing region, in id order.
 
     A curve's observations inside the target's observed part (the
     complement of ``target_m``) stay observed; the rest become
-    pseudo-missing. Returns (observed part, number of complete curves,
-    splits); a split is (curve, inside mask, pseudo-observed curve), or
-    None where nothing is pseudo-missing or fewer than two distinct points
-    stay observed.
+    pseudo-missing. Returns (observed part, splits); a split is (curve,
+    inside mask), or None where nothing is pseudo-missing or fewer than two
+    distinct points stay observed.
     """
     complete = sorted(classify_complete(dataset, margin_fraction))
     if not complete:
@@ -538,11 +595,10 @@ def _gcv_splits(
     for cid in complete:
         c = by_id[cid]
         inside = o_sub.contains(c.u)
-        if np.all(inside) or np.unique(c.u[inside]).size < 2:
-            splits.append(None)
-        else:
-            splits.append((c, inside, Curve(c.id, c.u[inside], c.y[inside])))
-    return o_sub, len(complete), splits
+        kept = c.u[inside]  # sorted, as c.u is
+        degenerate = inside.all() or kept.size == 0 or kept[-1] == kept[0]
+        splits.append(None if degenerate else (c, inside))
+    return o_sub, _SplitBatch(splits)
 
 
 def select_truncation_gcv(
@@ -570,33 +626,8 @@ def select_truncation_gcv(
     return result
 
 
-def _memo_call(memo: dict, key, fn, *args):
-    """fn(*args), computed once per key; an FdreconError it raised is raised again."""
-    if key not in memo:
-        try:
-            memo[key] = (fn(*args), None)
-        except FdreconError as exc:
-            memo[key] = (None, exc)
-    value, exc = memo[key]
-    if exc is not None:
-        raise exc
-    return value
-
-
-class _GcvState:
-    """Running GCV sums of one method."""
-
-    def __init__(self, eigsys: EigenSystem, candidates: list[int]):
-        self.eigsys = eigsys
-        self.candidates = candidates
-        self.k_max = max(candidates)
-        self.rss = np.zeros(self.k_max)
-        self.used = 0
-        self.skipped = 0
-        self.error: FdreconError | None = None
-
-
-def _gcv_state(method, model, o_sub, n_complete, k_candidates) -> _GcvState:
+def _gcv_candidates(method, model, o_sub, n_complete, k_candidates):
+    """The eigensystem of a method's GCV and its candidate truncations."""
     if method not in _SCORE_ROUTES:
         raise UsageError(f"unknown method {method!r}")
     eigsys = model.full_eigensystem() if method == "pace" else model.eigensystem_for(o_sub)
@@ -606,12 +637,32 @@ def _gcv_state(method, model, o_sub, n_complete, k_candidates) -> _GcvState:
             f"no admissible truncation: K_available={eigsys.k_available}, |C|={n_complete}"
         )
     if k_candidates is None:
-        candidates = list(range(1, k_cap + 1))
-    else:
-        candidates = sorted({int(k) for k in k_candidates if 1 <= int(k) <= k_cap})
-        if not candidates:
-            raise UsageError("no K candidate within the admissible range")
-    return _GcvState(eigsys, candidates)
+        return eigsys, list(range(1, k_cap + 1))
+    candidates = sorted({int(k) for k in k_candidates if 1 <= int(k) <= k_cap})
+    if not candidates:
+        raise UsageError("no K candidate within the admissible range")
+    return eigsys, candidates
+
+
+def _split_scores(route, batch: _SplitBatch, model, eigsys, k, quadrature):
+    """The first k scores of every split by route, one row per split.
+
+    Also returns, per split, the FdreconError its scores raised (else None).
+    """
+    u, y, group = batch.obs
+    try:
+        if route == "integral":
+            resid = y - model.mean.at(u)
+            values, _ = _integral_batch(u, resid, group, batch.n, eigsys, k, quadrature, True)
+            return values, [None] * batch.n
+        values, _, errors = _ce_batch(u, y, group, batch.n, eigsys, model.sigma2, model.mean, k)
+        return values, errors
+    except FdreconError as exc:
+        return None, [exc] * batch.n
+
+
+# Score errors that skip a split for a method; any other FdreconError ends the method.
+_SKIPPING_ERRORS = (NotEstimableError, InsufficientLocalDataError, DataError)
 
 
 def select_truncations_gcv(
@@ -626,110 +677,84 @@ def select_truncations_gcv(
     """``select_truncation_gcv`` for several methods over one set of pseudo-missing splits.
 
     Maps each method to its (K, details), or to the error its own
-    ``select_truncation_gcv`` call would raise. The results equal those of
-    the single-method calls. The splits are made once; the mean, the
-    extrapolated basis and the anchor weights are evaluated at the
-    pseudo-missing points of all splits together; the scores two methods
-    share (ano and ayes; anoce and ayesce) and the anchor smoothing of the
-    aligned methods are computed once per split.
+    ``select_truncation_gcv`` call would raise; the results equal those of
+    the single-method calls. Every split is evaluated at once: the
+    pseudo-observed and pseudo-missing points of all splits are stacked,
+    each tagged with its split. The mean and the (extrapolated) basis are
+    evaluated once over all of them; the integral scores are per-split
+    segment sums, the conditional-expectation scores solve one system per
+    split, the interval-end values of the aligned methods come from one
+    smoother pass whose windows stay within a split, and the residual sums
+    of every candidate K come from one cumulative sum. Methods on the same
+    score route (ano and ayes; anoce and ayesce) share the scores.
+
+    A split whose scores raise NotEstimableError, InsufficientLocalDataError
+    or DataError is skipped for that method (as is a degenerate split); any
+    other FdreconError ends the method with its first such error in id order.
     """
-    o_sub, n_complete, splits = _gcv_splits(model, dataset, target_m, margin_fraction)
-    states: dict[str, _GcvState | FdreconError] = {}
+    o_sub, batch = _gcv_splits(model, dataset, target_m, margin_fraction)
+    u_miss, y_miss, g_miss = batch.miss
+    mu_miss = model.mean.at(u_miss)
+    starts, sizes = _segments(g_miss, batch.n)
+    shared: dict = {}
+    results: dict[str, tuple[int, dict] | FdreconError] = {}
     for method in methods:
         try:
-            states[method] = _gcv_state(method, model, o_sub, n_complete, k_candidates)
-        except FdreconError as exc:
-            states[method] = exc
-
-    # Every evaluation at the pseudo-missing points of all splits at once,
-    # then per split the scores and the prediction prefixes over K.
-    u_parts = [c.u[~inside] for c, inside, _ in filter(None, splits)]
-    u_miss = np.concatenate(u_parts) if u_parts else np.empty(0)
-    bounds = np.cumsum([0] + [part.size for part in u_parts])
-    mu_miss = model.mean.at(u_miss)
-    # Per method at the pseudo-missing points: the anchor of the aligned
-    # methods and the basis, minus the anchor basis for them.
-    evaluated = {}
-    for method, st in states.items():
-        if not isinstance(st, _GcvState):
-            continue
-        ext = st.eigsys.extrapolated_at(u_miss, st.k_max)
-        if method in ("ayes", "ayesce"):
-            anchor = _Anchor(st.eigsys, model.mean, u_miss, st.k_max)
-            evaluated[method] = (anchor, ext - anchor.phi)
-        else:
-            evaluated[method] = (None, ext)
-
-    pos = 0
-    for split in splits:
-        live = [(m, s) for m, s in states.items() if isinstance(s, _GcvState) and s.error is None]
-        if not live:
-            break
-        if split is None:
-            for _, st in live:
-                st.skipped += 1
-            continue
-        c, inside, pseudo_obs = split
-        y_miss = c.y[~inside]
-        cut = slice(bounds[pos], bounds[pos + 1])
-        pos += 1
-        memo: dict = {}
-        for method, st in live:
-            route = _SCORE_ROUTES[method]
-            anchor, basis = evaluated[method]
-            base, basis = mu_miss[cut], basis[cut]
-            try:
-                scores = _memo_call(
-                    memo, ("scores", route, st.k_max),
-                    _scores, route, pseudo_obs, model, st.eigsys, st.k_max, quadrature, True,
-                )
-                if anchor is not None:
-                    smoothing = _memo_call(
-                        memo, ("ends",), _end_smoothing, pseudo_obs, st.eigsys, model
-                    )
-                    x_vals = _anchor_values(smoothing, st.eigsys, model, scores, st.k_max)
-                    base = anchor.shift(x_vals, base, cut)
-            except (NotEstimableError, InsufficientLocalDataError, DataError):
-                st.skipped += 1
-                continue
-            except FdreconError as exc:
-                st.error = exc
-                continue
-            preds = base[:, None] + np.cumsum(basis * scores.values[None, :], axis=1)
-            resid = preds - y_miss[:, None]
-            finite = np.all(np.isfinite(resid), axis=0)
-            if not np.all(finite):
-                resid = np.where(np.isfinite(resid), resid, 0.0)
-            st.rss += np.sum(resid * resid, axis=0) / y_miss.size
-            st.used += 1
-
-    results: dict[str, tuple[int, dict] | FdreconError] = {}
-    for method, st in states.items():
-        if not isinstance(st, _GcvState):
-            results[method] = st
-        elif st.error is not None:
-            results[method] = st.error
-        elif st.used == 0:
-            results[method] = NotEstimableError(
-                "no complete curves for GCV (all splits degenerate)"
+            eigsys, candidates = _gcv_candidates(
+                method, model, o_sub, batch.n_complete, k_candidates
             )
-        else:
-            results[method] = _gcv_choice(st, n_complete)
+        except FdreconError as exc:
+            results[method] = exc
+            continue
+        k = max(candidates)
+        route = _SCORE_ROUTES[method]
+        if (route, k) not in shared:
+            shared[route, k] = _split_scores(route, batch, model, eigsys, k, quadrature)
+        xi, errors = shared[route, k]
+        used = np.array([exc is None for exc in errors], dtype=bool)
+        fatal = [exc for exc in errors if exc is not None and not isinstance(exc, _SKIPPING_ERRORS)]
+        if fatal:
+            results[method] = fatal[0]
+            continue
+        if not used.any():
+            results[method] = NotEstimableError("no complete curves for GCV (all splits degenerate)")
+            continue
+        base, basis = mu_miss, eigsys.extrapolated_at(u_miss, k)
+        if method in ("ayes", "ayesce"):
+            if "ends" not in shared:
+                ends = np.array(eigsys.subdomain.intervals).ravel()
+                u, y, group = batch.obs
+                smoothed = _smoothed_on(
+                    u, y, np.tile(ends, batch.n), model.bandwidths.h_x,
+                    groups=(group, np.repeat(np.arange(batch.n), ends.size)),
+                )
+                shared["ends"] = tuple(v.reshape(batch.n, ends.size) for v in smoothed)
+            anchor = _Anchor(eigsys, model.mean, u_miss, k)
+            x_ends = _anchor_values(shared["ends"], eigsys, model, xi, k)
+            base = anchor.shift(x_ends, mu_miss, g_miss)
+            basis = basis - anchor.phi
+        resid = base[:, None] + np.cumsum(basis * xi[g_miss], axis=1) - y_miss[:, None]
+        resid = np.where(np.isfinite(resid), resid, 0.0)
+        rss = np.add.reduceat(resid * resid, starts, axis=0) / sizes[:, None]
+        results[method] = _gcv_choice(
+            candidates, rss[used].sum(axis=0), batch.n_complete,
+            n_used=int(used.sum()), n_skipped=batch.n_degenerate + int((~used).sum()),
+        )
     return results
 
 
-def _gcv_choice(st: _GcvState, n_complete: int) -> tuple[int, dict]:
-    ks = np.array(st.candidates)
+def _gcv_choice(candidates, rss, n_complete, n_used, n_skipped) -> tuple[int, dict]:
+    ks = np.array(candidates)
     denom = (1.0 - ks / n_complete) ** 2
-    gcv = st.rss[ks - 1] / denom
+    gcv = rss[ks - 1] / denom
     best = int(ks[int(np.argmin(gcv))])
     details = {
-        "candidates": st.candidates,
+        "candidates": candidates,
         "gcv": {int(kk): float(g) for kk, g in zip(ks, gcv)},
-        "rss": {int(kk): float(st.rss[kk - 1]) for kk in ks},
+        "rss": {int(kk): float(rss[kk - 1]) for kk in ks},
         "n_complete": n_complete,
-        "n_used": st.used,
-        "n_skipped": st.skipped,
+        "n_used": n_used,
+        "n_skipped": n_skipped,
     }
     return best, details
 
@@ -744,38 +769,39 @@ def select_kraus_ridge_gcv(
 
     The candidates are KRAUS_RHO_GRID_SIZE values log-spaced over
     KRAUS_RHO_GRID_DECADES around the mean eigenvalue of the observed block.
+    Every split is predicted at once: its smoothed pseudo-observed values
+    are one column of the ridge operator's input, and the predictions are
+    interpolated at all pseudo-missing points together. A split whose
+    pseudo-observed part cannot be smoothed anywhere is left out.
     """
-    o_sub, n_complete, splits = _gcv_splits(model, dataset, target_m, margin_fraction)
+    o_sub, batch = _gcv_splits(model, dataset, target_m, margin_fraction)
     op = _RidgeOperator(model, o_sub)
     trace = float(op.nu.sum())
     scale = max(trace / op.idx.size, 1e-300)
     exponents = np.linspace(*KRAUS_RHO_GRID_DECADES, KRAUS_RHO_GRID_SIZE)
     rho_candidates = [float(scale * 10.0**e) for e in exponents]
 
-    prepared = []
-    for c, inside, pseudo in filter(None, splits):
-        try:
-            prepared.append((c, inside, op.observe(pseudo)[1]))
-        except InsufficientLocalDataError:
-            continue
-    if not prepared:
+    _, z0, ok = op.observe(*batch.obs, n=batch.n)
+    if not ok.any():
         raise NotEstimableError("no complete curves for GCV (all splits degenerate)")
-
+    u_miss, y_miss, g_miss = batch.miss
+    keep = ok[g_miss]
+    u_miss, y_miss = u_miss[keep], y_miss[keep]
+    col = (np.cumsum(ok) - 1)[g_miss[keep]]
+    z0 = z0[:, ok]
     m_points = model.grid.points[op.m_idx]
     results = {}
     for rho in rho_candidates:
         df = float(np.sum(op.nu / (op.nu + rho)))
-        if df >= n_complete:
+        if df >= batch.n_complete:
             continue
-        rss = 0.0
-        for c, inside, z0 in prepared:
-            vals_m = op.predict(z0, rho)
-            preds = np.interp(c.u[~inside], m_points, vals_m) if m_points.size else np.array([])
-            resid = c.y[~inside] - preds
-            resid = resid[np.isfinite(resid)]
-            if resid.size:
-                rss += float(resid @ resid) / resid.size
-        results[rho] = rss / (1.0 - df / n_complete) ** 2
+        preds = interp_columns(u_miss, m_points, op.predict(z0, rho))
+        resid = y_miss - preds[np.arange(u_miss.size), col]
+        finite = np.isfinite(resid)
+        sq = np.bincount(col[finite], resid[finite] ** 2, minlength=z0.shape[1])
+        count = np.bincount(col[finite], minlength=z0.shape[1])
+        rss = float(np.sum(sq[count > 0] / count[count > 0]))
+        results[rho] = rss / (1.0 - df / batch.n_complete) ** 2
     if not results:
         best = rho_candidates[-1]
     else:

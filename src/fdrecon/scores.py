@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import Curve
 from .eigensystem import EigenSystem
-from .errors import IllConditionedError, UsageError
+from .errors import FdreconError, IllConditionedError, UsageError
 from .smoothing import CovarianceEstimate, MeanEstimate, NoiseVariance
 
 CE_JITTER_REL = 1e-8
@@ -57,15 +57,76 @@ def _in_blocks(u: np.ndarray, eigsys: EigenSystem) -> list[tuple[float, float, n
     return [(lo, hi, (u >= lo - tol) & (u <= hi + tol)) for lo, hi in spans]
 
 
-def _quadrature_weights(u: np.ndarray, quadrature: str) -> np.ndarray:
+def _segments(group: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and size of each group's run in a group-major array."""
+    sizes = np.bincount(group, minlength=n)
+    return np.cumsum(sizes) - sizes, sizes
+
+
+def _quadrature_weights(u: np.ndarray, starts: np.ndarray, quadrature: str) -> np.ndarray:
+    """Per-run quadrature weights of u, sorted within runs that start at ``starts``."""
+    w = np.empty_like(u)
     if quadrature == "riemann":
-        return np.concatenate([[0.0], np.diff(u)])
-    weights = np.empty_like(u)
-    weights[0] = 0.5 * (u[1] - u[0])
-    weights[-1] = 0.5 * (u[-1] - u[-2])
-    if u.size > 2:
-        weights[1:-1] = 0.5 * (u[2:] - u[:-2])
-    return weights
+        w[1:] = np.diff(u)
+        w[starts] = 0.0
+        return w
+    ends = np.append(starts, u.size)[1:] - 1
+    w[1:-1] = 0.5 * (u[2:] - u[:-2])
+    w[starts] = 0.5 * (u[starts + 1] - u[starts])
+    w[ends] = 0.5 * (u[ends] - u[ends - 1])
+    return w
+
+
+def _carried_to_ends(u, r, group, n, lo, hi):
+    """Each group's points with its first and last residual held out to lo and hi."""
+    starts, sizes = _segments(group, n)
+    has = np.nonzero(sizes)[0]
+    first, last = starts[has], starts[has] + sizes[has] - 1
+    at = np.stack([first, last + 1], axis=1).ravel()
+    add = np.stack([u[first] > lo, u[last] < hi], axis=1).ravel()
+    at = at[add]
+    return (
+        np.insert(u, at, np.tile([lo, hi], has.size)[add]),
+        np.insert(r, at, np.stack([r[first], r[last]], axis=1).ravel()[add]),
+        np.insert(group, at, np.repeat(has, 2)[add]),
+    )
+
+
+def _integral_batch(u, resid, group, n, eigsys, k, quadrature, carry_to_ends):
+    """Integral scores of n curves at once; the math of ``integral_scores``.
+
+    u, resid and group hold the curves' centred observations one curve
+    after another, each sorted. Every (interval, curve) run of at least two
+    points gets its own quadrature weights. Returns the (n, k) scores and
+    which curves had no such run.
+    """
+    if quadrature not in ("riemann", "trapezoid"):
+        raise UsageError(f"unknown quadrature {quadrature!r}")
+    parts = []
+    for lo, hi, inside in _in_blocks(u, eigsys):
+        uu, rr, gg = u[inside], resid[inside], group[inside]
+        if carry_to_ends:
+            uu, rr, gg = _carried_to_ends(uu, rr, gg, n, lo, hi)
+        enough = np.bincount(gg, minlength=n)[gg] >= 2
+        parts.append((uu[enough], rr[enough], gg[enough]))
+    uu, rr, gg = (np.concatenate(p) for p in zip(*parts))
+    block = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
+    new_run = np.ones(uu.size, dtype=bool)
+    new_run[1:] = (gg[1:] != gg[:-1]) | (block[1:] != block[:-1])
+    starts = np.flatnonzero(new_run)
+    terms = rr * _quadrature_weights(uu, starts, quadrature)
+    # Each curve's points, in interval order, padded to one slab per curve:
+    # one stacked matrix-vector product integrates every curve, and for a
+    # single curve it is the product over its points alone.
+    order = np.argsort(gg, kind="stable")
+    gg = gg[order]
+    first, sizes = _segments(gg, n)
+    slot = np.arange(gg.size) - first[gg]
+    phi = np.zeros((n, sizes.max(initial=0), k))
+    phi[gg, slot] = eigsys.phi_at(uu[order], k)
+    rw = np.zeros(phi.shape[:2])
+    rw[gg, slot] = terms[order]
+    return (np.swapaxes(phi, 1, 2) @ rw[..., None])[..., 0], sizes == 0
 
 
 def integral_scores(
@@ -86,28 +147,15 @@ def integral_scores(
     the quadrature never reaches past the nodes the eigenproblem was solved
     on. ``carry_to_ends`` extends each interval's quadrature to its node
     span by holding the first and last observation constant out to the ends.
+    GCV scores all its splits with the same kernel; this is its one-curve case.
     """
     k = _check_k(k, eigsys)
     _check_domain(curve, eigsys)
-    if quadrature not in ("riemann", "trapezoid"):
-        raise UsageError(f"unknown quadrature {quadrature!r}")
-    if curve.n_obs < 2:
-        return ScoreVector(curve.id, np.zeros(k), "integral", ("insufficient points",))
     resid = curve.y - mean.at(curve.u)  # curve.u is already sorted
-    parts = []
-    for lo, hi, inside in _in_blocks(curve.u, eigsys):
-        u, r = curve.u[inside], resid[inside]
-        if carry_to_ends and u.size:
-            if u[0] > lo:
-                u, r = np.concatenate([[lo], u]), np.concatenate([r[:1], r])
-            if u[-1] < hi:
-                u, r = np.concatenate([u, [hi]]), np.concatenate([r, r[-1:]])
-        if u.size < 2:
-            continue
-        parts.append(eigsys.phi_at(u, k).T @ (r * _quadrature_weights(u, quadrature)))
-    if not parts:
-        return ScoreVector(curve.id, np.zeros(k), "integral", ("insufficient points",))
-    return ScoreVector(curve.id, functools.reduce(np.add, parts), "integral")
+    group = np.zeros(curve.n_obs, dtype=int)
+    values, empty = _integral_batch(curve.u, resid, group, 1, eigsys, k, quadrature, carry_to_ends)
+    flags = ("insufficient points",) if empty[0] else ()
+    return ScoreVector(curve.id, values[0], "integral", flags)
 
 
 def _observation_covariance(
@@ -165,6 +213,40 @@ def _solve_spd(S: np.ndarray, rhs: np.ndarray):
     return sol, cond_est, jittered
 
 
+def _ce_batch(u, y, group, n, eigsys, sigma2, mean, k):
+    """Conditional-expectation scores of n curves at once; the math of ``ce_scores``.
+
+    u, y and group hold the curves' observations one curve after another.
+    The eigenfunctions are evaluated once at every point, then each curve
+    solves its own system. Returns the (n, k) scores, the flags per curve
+    and the FdreconError of each curve whose solve failed (else None).
+    """
+    inside = functools.reduce(np.logical_or, [sel for _, _, sel in _in_blocks(u, eigsys)])
+    u, y, group = u[inside], y[inside], group[inside]
+    phi_all = eigsys.phi_at(u)
+    resid = y - mean.at(u)
+    values = np.zeros((n, k))
+    flags: list[tuple[str, ...]] = [("insufficient points",)] * n
+    errors: list[FdreconError | None] = [None] * n
+    starts, sizes = _segments(group, n)
+    for g, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        if size == 0:
+            continue
+        rows = slice(start, start + size)
+        phi = phi_all[rows]
+        try:
+            S = _observation_covariance(phi, eigsys, sigma2)
+            sol, cond_est, jittered = _solve_spd(S, resid[rows])
+        except FdreconError as exc:
+            errors[g] = exc
+            continue
+        flags[g] = ("jitter applied",) if jittered else ()
+        if cond_est > CONDITION_FLAG_THRESHOLD:
+            flags[g] += (f"ill-conditioned (cond~{cond_est:.2e})",)
+        values[g] = eigsys.eigenvalues[:k] * (np.ascontiguousarray(phi[:, :k]).T @ sol)
+    return values, flags, errors
+
+
 def ce_scores(
     curve: Curve,
     eigsys: EigenSystem,
@@ -181,27 +263,16 @@ def ce_scores(
     inverse is formed. Only observations inside the node span of a
     subdomain interval enter. A non positive definite matrix gets one
     deterministic ridge before failing; an ill-conditioned but solvable
-    system is flagged and solved as is.
+    system is flagged and solved as is. GCV scores all its splits with the
+    same kernel; this is its one-curve case.
     """
     k = _check_k(k, eigsys)
     _check_domain(curve, eigsys)
-    flags: list[str] = []
-    inside = np.any([sel for _, _, sel in _in_blocks(curve.u, eigsys)], axis=0)
-    u, y = curve.u[inside], curve.y[inside]
-    if u.size == 0:
-        flags.append("insufficient points")
-        return ScoreVector(curve.id, np.zeros(k), "conditional_expectation", tuple(flags))
-    phi_all = eigsys.phi_at(u)
-    S = _observation_covariance(phi_all, eigsys, sigma2)
-    resid = y - mean.at(u)
-    sol, cond_est, jittered = _solve_spd(S, resid)
-    if jittered:
-        flags.append("jitter applied")
-    if cond_est > CONDITION_FLAG_THRESHOLD:
-        flags.append(f"ill-conditioned (cond~{cond_est:.2e})")
-    phi = np.ascontiguousarray(phi_all[:, :k])
-    values = eigsys.eigenvalues[:k] * (phi.T @ sol)
-    return ScoreVector(curve.id, values, "conditional_expectation", tuple(flags))
+    group = np.zeros(curve.n_obs, dtype=int)
+    values, flags, errors = _ce_batch(curve.u, curve.y, group, 1, eigsys, sigma2, mean, k)
+    if errors[0] is not None:
+        raise errors[0]
+    return ScoreVector(curve.id, values[0], "conditional_expectation", flags[0])
 
 
 def pace_scores(

@@ -180,19 +180,37 @@ def _bilinear(grid_points: np.ndarray, surface: np.ndarray, u, v) -> np.ndarray:
     return out
 
 
-def _kernel_weights(x: np.ndarray, targets: np.ndarray, h: float):
+def _group_keys(group: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex keys group + i v: numpy orders complex numbers by (real, imaginary)."""
+    keys = np.empty(np.shape(v), dtype=complex)
+    keys.real, keys.imag = group, v
+    return keys
+
+
+def _kernel_weights(x: np.ndarray, targets: np.ndarray, h: float, groups=None):
     """Every (target, point) pair inside the strict kernel window t - h < x < t + h.
 
     The one place the smoothers sort, window and weigh. Returns (rows, cols,
     d, w) grouped by target, each window in stable ascending order of x:
     the target index, the index into x, d = (x - t) / h and the
     Epanechnikov weight K(d). Points inside a window keep their pair even
-    where the weight rounds to zero.
+    where the weight rounds to zero. With ``groups`` = (group of each
+    point, group of each target), e.g. one group per curve, a window holds
+    only the points of its target's group; every target then gets the
+    pairs, in the order, of a call on its group's points alone.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    lo = np.searchsorted(xs, targets - h, side="right")
-    hi = np.searchsorted(xs, targets + h, side="left")
+    if groups is None:
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        keys, lo_keys, hi_keys = xs, targets - h, targets + h
+    else:
+        x_group, t_group = groups
+        order = np.lexsort((x, x_group))
+        xs = x[order]
+        keys = _group_keys(x_group[order], xs)
+        lo_keys, hi_keys = _group_keys(t_group, targets - h), _group_keys(t_group, targets + h)
+    lo = np.searchsorted(keys, lo_keys, side="right")
+    hi = np.searchsorted(keys, hi_keys, side="left")
     sizes = np.maximum(hi - lo, 0)
     rows = np.repeat(np.arange(targets.size), sizes)
     pos = np.arange(rows.size) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
@@ -218,15 +236,15 @@ def _normal_equations(rows: np.ndarray, n: int, w: np.ndarray, columns, y: np.nd
     return A, b
 
 
-def _llk_fit_1d(x: np.ndarray, y: np.ndarray, targets: np.ndarray, h: float):
-    """Windowed local-linear fits of y on x at each target.
+def _llk_fit_1d(x: np.ndarray, y: np.ndarray, targets: np.ndarray, h: float, groups=None):
+    """Windowed local-linear fits of y on x at each target (windows by ``_kernel_weights``).
 
     Returns (beta0, counts, fallback) where counts is the number of
     observations with strictly positive weight and fallback marks targets
     where a singular design degraded to a local-constant fit.
     """
     n = np.size(targets)
-    rows, cols, d, w = _kernel_weights(x, targets, h)
+    rows, cols, d, w = _kernel_weights(x, targets, h, groups)
     counts = np.bincount(rows[w > 0], minlength=n)
     A, b = _normal_equations(rows, n, w, (1.0, d), y[cols])
     s0, s1, s2 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
@@ -239,14 +257,15 @@ def _llk_fit_1d(x: np.ndarray, y: np.ndarray, targets: np.ndarray, h: float):
     return beta0, counts, (counts > 0) & ~linear
 
 
-def _smoothed_curve_on(curve: Curve, targets, h_x: float, strict: bool = False):
-    """Local-linear values of the raw curve at targets and whether each fit held.
+def _smoothed_on(u, y, targets, h_x: float, strict: bool = False, groups=None):
+    """Local-linear values of raw observations (u, y) at targets and whether each fit held.
 
     A fit holds where at least two observations carry weight, the local
     design is not singular and the value is finite. With ``strict``, the
     first target where it does not hold raises InsufficientLocalDataError.
+    ``groups`` smooths several curves at once, as in ``_kernel_weights``.
     """
-    beta0, counts, fallback = _llk_fit_1d(curve.u, curve.y, targets, h_x)
+    beta0, counts, fallback = _llk_fit_1d(u, y, targets, h_x, groups)
     ok = (counts >= 2) & ~fallback & np.isfinite(beta0)
     if strict and not np.all(ok):
         i = int(np.argmin(ok))
@@ -283,7 +302,7 @@ def llk_curve(curve: Curve, u, h_x: float) -> float | np.ndarray:
     if np.any(targets < lo - tol) or np.any(targets > hi + tol):
         bad = targets[(targets < lo - tol) | (targets > hi + tol)][0]
         raise InsufficientLocalDataError(bad, 0)
-    beta0, _ = _smoothed_curve_on(curve, targets, h_x, strict=True)
+    beta0, _ = _smoothed_on(curve.u, curve.y, targets, h_x, strict=True)
     return float(beta0[0]) if scalar else beta0
 
 

@@ -516,3 +516,306 @@ class TestGcv:
         rho, details = select_kraus_ridge_gcv(model, ds, tm)
         assert rho > 0
         assert rho in details["gcv"] or details["gcv"] == {}
+
+
+# The GCV selections as loops over the splits, one score, smoother and
+# prediction call per split and method: the oracles the stacked
+# evaluation in select_truncations_gcv and select_kraus_ridge_gcv must match.
+
+GCV_METHODS = ["ano", "ayes", "anoce", "ayesce", "pace"]
+
+
+def reference_splits(model, dataset, target_m, margin_fraction=0.1):
+    """The complete curves split at target_m, in id order: (curve, inside, pseudo curve) or None."""
+    from fdrecon import NotEstimableError, classify_complete
+
+    complete = sorted(classify_complete(dataset, margin_fraction))
+    if not complete:
+        raise NotEstimableError("no complete curves for GCV")
+    o_sub = target_m.complement(model.grid)
+    by_id = {c.id: c for c in dataset.curves}
+    splits = []
+    for cid in complete:
+        c = by_id[cid]
+        inside = o_sub.contains(c.u)
+        if np.all(inside) or np.unique(c.u[inside]).size < 2:
+            splits.append(None)
+        else:
+            splits.append((c, inside, Curve(c.id, c.u[inside], c.y[inside])))
+    return o_sub, splits
+
+
+def reference_truncations_gcv(
+    methods, model, dataset, target_m, k_candidates=None, margin_fraction=0.1, quadrature="riemann"
+):
+    from fdrecon import DataError, FdreconError, InsufficientLocalDataError, NotEstimableError
+    from fdrecon.reconstruct import (
+        _SCORE_ROUTES, _Anchor, _anchor_values, _end_smoothing, _gcv_candidates, _gcv_choice,
+        _scores,
+    )
+
+    o_sub, splits = reference_splits(model, dataset, target_m, margin_fraction)
+    n_complete = len(splits)
+    states = {}
+    for method in methods:
+        try:
+            eigsys, candidates = _gcv_candidates(method, model, o_sub, n_complete, k_candidates)
+        except FdreconError as exc:
+            states[method] = exc
+            continue
+        k = max(candidates)
+        states[method] = dict(
+            eigsys=eigsys, candidates=candidates, k=k, rss=np.zeros(k), used=0, skipped=0, error=None
+        )
+    for split in splits:
+        for method, st in states.items():
+            if not isinstance(st, dict) or st["error"] is not None:
+                continue
+            if split is None:
+                st["skipped"] += 1
+                continue
+            c, inside, pseudo = split
+            eigsys, k = st["eigsys"], st["k"]
+            u_miss, y_miss = c.u[~inside], c.y[~inside]
+            try:
+                scores = _scores(_SCORE_ROUTES[method], pseudo, model, eigsys, k, quadrature, True)
+                base, basis = model.mean.at(u_miss), eigsys.extrapolated_at(u_miss, k)
+                if method in ("ayes", "ayesce"):
+                    anchor = _Anchor(eigsys, model.mean, u_miss, k)
+                    smoothing = _end_smoothing(pseudo, eigsys, model)
+                    base = anchor.shift(_anchor_values(smoothing, eigsys, model, scores, k), base)
+                    basis = basis - anchor.phi
+            except (NotEstimableError, InsufficientLocalDataError, DataError):
+                st["skipped"] += 1
+                continue
+            except FdreconError as exc:
+                st["error"] = exc
+                continue
+            preds = base[:, None] + np.cumsum(basis * scores.values[None, :], axis=1)
+            resid = preds - y_miss[:, None]
+            resid = np.where(np.isfinite(resid), resid, 0.0)
+            st["rss"] += np.sum(resid * resid, axis=0) / y_miss.size
+            st["used"] += 1
+    results = {}
+    for method, st in states.items():
+        if not isinstance(st, dict):
+            results[method] = st
+        elif st["error"] is not None:
+            results[method] = st["error"]
+        elif st["used"] == 0:
+            results[method] = NotEstimableError("no complete curves for GCV (all splits degenerate)")
+        else:
+            results[method] = _gcv_choice(
+                st["candidates"], st["rss"], n_complete, st["used"], st["skipped"]
+            )
+    return results
+
+
+def reference_ridge_gcv(model, dataset, target_m, margin_fraction=0.1):
+    from fdrecon import NotEstimableError
+    from fdrecon.reconstruct import KRAUS_RHO_GRID_DECADES, KRAUS_RHO_GRID_SIZE, _RidgeOperator
+    from fdrecon.smoothing import _smoothed_on
+
+    o_sub, splits = reference_splits(model, dataset, target_m, margin_fraction)
+    n_complete = len(splits)
+    op = _RidgeOperator(model, o_sub)
+    trace = float(op.nu.sum())
+    scale = max(trace / op.idx.size, 1e-300)
+    exponents = np.linspace(*KRAUS_RHO_GRID_DECADES, KRAUS_RHO_GRID_SIZE)
+    rho_candidates = [float(scale * 10.0**e) for e in exponents]
+    points = model.grid.points[op.idx]
+    prepared = []
+    for c, inside, pseudo in filter(None, splits):
+        smoothed, ok = _smoothed_on(pseudo.u, pseudo.y, points, model.bandwidths.h_x)
+        if not np.any(ok):
+            continue
+        good, bad = np.nonzero(ok)[0], np.nonzero(~ok)[0]
+        nearest = np.argmin(np.abs(good[None, :] - bad[:, None]), axis=1)
+        smoothed[bad] = smoothed[good[nearest]]
+        prepared.append((c, inside, op.d * (smoothed - model.mean.values[op.idx])))
+    if not prepared:
+        raise NotEstimableError("no complete curves for GCV (all splits degenerate)")
+    m_points = model.grid.points[op.m_idx]
+    results = {}
+    for rho in rho_candidates:
+        df = float(np.sum(op.nu / (op.nu + rho)))
+        if df >= n_complete:
+            continue
+        rss = 0.0
+        for c, inside, z0 in prepared:
+            preds = np.interp(c.u[~inside], m_points, op.predict(z0, rho))
+            resid = c.y[~inside] - preds
+            resid = resid[np.isfinite(resid)]
+            if resid.size:
+                rss += float(resid @ resid) / resid.size
+        results[rho] = rss / (1.0 - df / n_complete) ** 2
+    best = min(results, key=lambda r: (results[r], r)) if results else rho_candidates[-1]
+    return float(best), {"gcv": results, "trace": trace}
+
+
+def assert_same_selection(got, want):
+    """Equal choice, counts and error types; tables to 1e-13 relative."""
+    from fdrecon import FdreconError
+
+    if isinstance(want, FdreconError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, FdreconError), got
+    (k, details), (k_want, details_want) = got, want
+    assert k == k_want
+    for name, value in details_want.items():
+        if isinstance(value, dict):
+            assert list(details[name]) == list(value)
+            np.testing.assert_allclose(
+                list(details[name].values()), list(value.values()), rtol=1e-13, atol=0
+            )
+        else:
+            assert details[name] == value, name
+
+
+def assert_gcv_matches_reference(model, ds, target_m, **kwargs):
+    from fdrecon import FdreconError
+    from fdrecon.reconstruct import select_truncations_gcv
+
+    got = select_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
+    want = reference_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
+    assert list(got) == list(want)
+    for method in GCV_METHODS:
+        assert_same_selection(got[method], want[method])
+    if "k_candidates" in kwargs or "quadrature" in kwargs:
+        return got
+    try:
+        want_ridge = reference_ridge_gcv(model, ds, target_m)
+    except FdreconError as exc:
+        with pytest.raises(type(exc), match="degenerate"):
+            select_kraus_ridge_gcv(model, ds, target_m)
+    else:
+        assert_same_selection(select_kraus_ridge_gcv(model, ds, target_m), want_ridge)
+    return got
+
+
+def interior_target_dataset(seed=40):
+    """rank-3 curves plus complete curves with odd splits at [0.05, 0.95] or [0.4, 0.6]."""
+    ds, _ = rank3_dataset(n=40, m=30, seed=seed, noise=0.1)
+    rng = np.random.default_rng(seed)
+    extra = [
+        # Nothing inside [0.4, 0.6]: nothing pseudo-missing there.
+        Curve("d0", np.r_[np.linspace(0.0, 0.35, 8), np.linspace(0.65, 1.0, 8)], rng.normal(size=16)),
+        # Two points, but one abscissa, outside [0.05, 0.95].
+        Curve("d1", np.r_[0.02, 0.02, np.linspace(0.2, 0.93, 10)], rng.normal(size=12)),
+        # Outside [0.05, 0.95] one point at each end: too few to smooth anywhere there.
+        Curve("d2", np.array([0.0, 0.3, 0.5, 0.7, 0.999]), rng.normal(size=5)),
+    ]
+    return build_dataset(list(ds.curves) + extra, domain=(0, 1))
+
+
+class TestGcvReferenceOracles:
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_dgp_targets_all_methods(self, dgp):
+        from fdrecon import DgpConfig, generate_dgp
+
+        cfg = DgpConfig(dgp=dgp, n=40, m=15 if dgp in (1, 2) else None, seed=dgp + 10,
+                        replications=1, n_targets=8)
+        ds, targets = generate_dgp(cfg, 0)
+        model = fit_reconstruction_model(ds)
+        for t, curve in enumerate(targets.curves):
+            target_m = curve_subdomain(curve, model.grid).complement(model.grid)
+            assert_gcv_matches_reference(model, ds, target_m)
+            if t == 0:
+                assert_gcv_matches_reference(model, ds, target_m, quadrature="trapezoid")
+                assert_gcv_matches_reference(model, ds, target_m, k_candidates=[1, 3, 4])
+
+    def test_interior_missing_region(self):
+        ds = interior_target_dataset()
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        target_m = Subdomain.from_interval(model.grid, 0.4123, 0.6042)
+        o_sub = target_m.complement(model.grid)
+        assert len(o_sub.intervals) == 2
+        got = assert_gcv_matches_reference(model, ds, target_m)
+        assert all(isinstance(r, tuple) for r in got.values())
+        # d0 observes nothing inside the target's missing region.
+        assert got["ano"][1]["n_skipped"] >= 1
+
+    def test_degenerate_splits(self):
+        from fdrecon import NotEstimableError, classify_complete
+
+        ds = interior_target_dataset(seed=41)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        target_m = Subdomain.from_interval(model.grid, 0.05, 0.95)
+        _, splits = reference_splits(model, ds, target_m)
+        # d1 keeps two observations outside the target's missing region, at one abscissa.
+        assert splits[sorted(classify_complete(ds)).index("d1")] is None
+        got = assert_gcv_matches_reference(model, ds, target_m)
+        assert got["ano"][1]["n_skipped"] == sum(s is None for s in splits)
+        # The ridge GCV leaves d2 out.
+        from fdrecon.reconstruct import _RidgeOperator
+
+        o_sub = target_m.complement(model.grid)
+        op = _RidgeOperator(model, o_sub)
+        d2 = ds.curve("d2")
+        inside = o_sub.contains(d2.u)
+        assert not op.observe(d2.u[inside], d2.y[inside])[2][0]
+        # Nothing but degenerate splits: no method can select.
+        d1 = ds.curve("d1")
+        only = build_dataset([d1, Curve("d2", d1.u, 2.0 * d1.y)], domain=(0, 1))
+        got = assert_gcv_matches_reference(model, only, target_m)
+        for method in GCV_METHODS:
+            assert isinstance(got[method], NotEstimableError)
+
+    @staticmethod
+    def split_sizes_setup():
+        ds, _ = rank3_dataset(n=60, m=20, seed=42, noise=0.1)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        target_m = Subdomain.from_interval(model.grid, 0.7, 1.0)
+        _, splits = reference_splits(model, ds, target_m)
+        sizes = [s[2].n_obs for s in splits if s is not None]
+        # Systems of more points than the first split's fail below, so some
+        # splits are solved before the first failure and some after it.
+        assert sizes[0] < max(sizes)
+        return ds, model, target_m, sizes[0]
+
+    def test_non_positive_definite_ce_system_ends_the_method(self, monkeypatch):
+        from fdrecon import IllConditionedError, scores
+
+        ds, model, target_m, limit = self.split_sizes_setup()
+        real = scores._observation_covariance
+        monkeypatch.setattr(
+            scores, "_observation_covariance",
+            lambda phi, eigsys, sigma2: -real(phi, eigsys, sigma2) if phi.shape[0] > limit
+            else real(phi, eigsys, sigma2),
+        )
+        got = assert_gcv_matches_reference(model, ds, target_m)
+        for method in ("anoce", "ayesce", "pace"):
+            assert isinstance(got[method], IllConditionedError)
+        assert isinstance(got["ano"], tuple) and isinstance(got["ayes"], tuple)
+
+    def test_skipping_errors_skip_the_split(self, monkeypatch):
+        from fdrecon import DataError, scores
+
+        ds, model, target_m, limit = self.split_sizes_setup()
+        real = scores._solve_spd
+
+        def solve(S, rhs):
+            if S.shape[0] > limit:
+                raise DataError("forced")
+            return real(S, rhs)
+
+        monkeypatch.setattr(scores, "_solve_spd", solve)
+        got = assert_gcv_matches_reference(model, ds, target_m)
+        for method in ("anoce", "ayesce", "pace"):
+            assert 0 < got[method][1]["n_used"] < got["ano"][1]["n_used"]
+            assert got[method][1]["n_skipped"] > got["ano"][1]["n_skipped"]
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_run_study_reports_equal_with_the_references(self, seed, monkeypatch):
+        from fdrecon import DgpConfig, run_study, simulation
+
+        cfg = DgpConfig(dgp=1, n=40, m=12, seed=seed, replications=1, n_targets=12)
+        methods = ["ano", "ayes", "anoce", "ayesce", "kraus"]
+        report = run_study(cfg, methods)
+        monkeypatch.setattr(simulation, "select_truncations_gcv", reference_truncations_gcv)
+        monkeypatch.setattr(simulation, "select_kraus_ridge_gcv", reference_ridge_gcv)
+        want = run_study(cfg, methods)
+        assert report.rows == want.rows
+        drop = lambda meta: {k: v for k, v in meta.items() if k != "runtime_s"}  # noqa: E731
+        assert drop(report.metadata) == drop(want.metadata)

@@ -232,3 +232,101 @@ class TestPaceScores:
         c = Curve("a", u, rng.normal(size=25))
         s = pace_scores(c, eig, cov, NoiseVariance(1e-12), mean, 3)
         assert any("ill-conditioned" in f or "jitter" in f for f in s.flags)
+
+
+def reference_integral_scores(curve, eigsys, mean, k, quadrature="riemann", carry_to_ends=False):
+    """integral_scores as a loop over the subdomain intervals, one matrix-vector product each.
+
+    Returns the scores and whether any interval held two points.
+    """
+    resid = curve.y - mean.at(curve.u)
+    tol = 1e-9 * (eigsys.grid.b - eigsys.grid.a)
+    total, any_part = np.zeros(k), False
+    for block in eigsys.node_blocks:
+        lo, hi = eigsys.nodes[block][0], eigsys.nodes[block][-1]
+        inside = (curve.u >= lo - tol) & (curve.u <= hi + tol)
+        u, r = curve.u[inside], resid[inside]
+        if carry_to_ends and u.size:
+            if u[0] > lo:
+                u, r = np.r_[lo, u], np.r_[r[0], r]
+            if u[-1] < hi:
+                u, r = np.r_[u, hi], np.r_[r, r[-1]]
+        if u.size < 2:
+            continue
+        if quadrature == "riemann":
+            w = np.r_[0.0, np.diff(u)]
+        else:
+            w = 0.5 * np.r_[u[1] - u[0], u[2:] - u[:-2], u[-1] - u[-2]]
+        total = total + eigsys.phi_at(u, k).T @ (r * w)
+        any_part = True
+    return total, any_part
+
+
+def two_interval_setup():
+    """A rank-2 eigensystem on [0, 0.3123] and [0.6071, 1], both inner ends off the grid."""
+    grid, cov, _, _ = rank2_setup(grid_size=51)
+    sub = Subdomain.from_interval(grid, 0.3123, 0.6071).complement(grid)
+    eig = extrapolate_basis(eigen_on_subdomain(cov, sub), cov)
+    return grid, cov, eig, MeanEstimate.from_function(grid, lambda u: 0.3 * u)
+
+
+def random_curves(rng, n=12):
+    """Curves inside the two intervals: some miss an interval or hold one point in it.
+
+    The first curve has one point in each interval and nothing else.
+    """
+    curves = []
+    for i in range(n):
+        left = np.round(rng.uniform(0, 0.3123, rng.integers(0, 6) if i else 0), 3)
+        right = np.round(rng.uniform(0.6071, 1.0, rng.integers(0, 6) if i else 0), 3)
+        u = np.r_[left, right, 0.1, 0.2 if i % 3 == 1 else 0.9]
+        curves.append(Curve(f"c{i}", u, rng.normal(size=u.size)))
+    return curves
+
+
+class TestScoreKernels:
+    """The one-curve scores against per-interval loops, and stacked curves against one at a time."""
+
+    @pytest.mark.parametrize("quadrature", ["riemann", "trapezoid"])
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_integral_scores_match_the_interval_loop(self, quadrature, carry):
+        grid, cov, eig, mean = two_interval_setup()
+        flagged = []
+        for c in random_curves(np.random.default_rng(23)):
+            s = integral_scores(c, eig, mean, 2, quadrature=quadrature, carry_to_ends=carry)
+            want, any_part = reference_integral_scores(c, eig, mean, 2, quadrature, carry)
+            np.testing.assert_allclose(s.values, want, rtol=1e-13, atol=1e-15)
+            assert ("insufficient points" in s.flags) == (not any_part)
+            flagged.append(not any_part)
+        assert flagged[0] != carry and not all(flagged)
+
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_stacked_integral_scores_equal_one_curve_calls(self, carry):
+        from fdrecon.scores import _integral_batch
+
+        grid, cov, eig, mean = two_interval_setup()
+        curves = random_curves(np.random.default_rng(24))
+        u = np.concatenate([c.u for c in curves])
+        resid = np.concatenate([c.y for c in curves]) - mean.at(u)
+        group = np.repeat(np.arange(len(curves)), [c.n_obs for c in curves])
+        values, empty = _integral_batch(u, resid, group, len(curves), eig, 2, "trapezoid", carry)
+        for i, c in enumerate(curves):
+            s = integral_scores(c, eig, mean, 2, quadrature="trapezoid", carry_to_ends=carry)
+            # Padded to the longest curve, a curve's sum may group its terms differently.
+            np.testing.assert_allclose(values[i], s.values, rtol=1e-13, atol=1e-15)
+            assert empty[i] == ("insufficient points" in s.flags)
+
+    def test_stacked_ce_scores_equal_one_curve_calls(self):
+        from fdrecon.scores import _ce_batch
+
+        grid, cov, eig, mean = two_interval_setup()
+        curves = random_curves(np.random.default_rng(25))
+        u = np.concatenate([c.u for c in curves])
+        y = np.concatenate([c.y for c in curves])
+        group = np.repeat(np.arange(len(curves)), [c.n_obs for c in curves])
+        values, flags, errors = _ce_batch(u, y, group, len(curves), eig, NoiseVariance(0.05), mean, 2)
+        assert errors == [None] * len(curves)
+        for i, c in enumerate(curves):
+            s = ce_scores(c, eig, cov, NoiseVariance(0.05), mean, 2)
+            assert np.array_equal(values[i], s.values)
+            assert flags[i] == s.flags

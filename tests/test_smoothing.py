@@ -443,3 +443,55 @@ class TestBruteForceOracles:
         assert nv.diagnostics["n_pairs"] == s.size
         assert nv.diagnostics["frac_clipped"] == np.mean(want[ok] < 0)
         assert nv.sigma2 == pytest.approx(np.mean(np.clip(want[ok], 0, None)), rel=1e-12)
+
+
+class TestGroupedWindows:
+    """Windows confined to a group equal calls on each group's points alone, bit for bit."""
+
+    @staticmethod
+    def grouped_input(rng, n_groups=7):
+        xs, ts = [], []
+        for g in range(n_groups):
+            m = int(rng.integers(0, 12))  # some groups are empty
+            x = np.round(rng.uniform(0, 1, m), 2)  # ties within a group
+            t = np.concatenate([rng.uniform(0, 1, 4), x[:2] + 0.1, x[:1] - 0.1])
+            xs.append(x)
+            ts.append(t)
+        return xs, ts
+
+    def test_kernel_weights_match_per_group_calls(self):
+        from fdrecon.smoothing import _kernel_weights
+
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            xs, ts = self.grouped_input(rng)
+            h = float(rng.uniform(0.05, 0.3))
+            x, t = np.concatenate(xs), np.concatenate(ts)
+            x_group = np.repeat(np.arange(len(xs)), [a.size for a in xs])
+            t_group = np.repeat(np.arange(len(ts)), [a.size for a in ts])
+            rows, cols, d, w = _kernel_weights(x, t, h, groups=(x_group, t_group))
+            want = [[], [], [], []]
+            x_off = t_off = 0
+            for xg, tg in zip(xs, ts):
+                r, c, dd, ww = _kernel_weights(xg, tg, h)
+                for part, v in zip(want, (r + t_off, c + x_off, dd, ww)):
+                    part.append(v)
+                x_off += xg.size
+                t_off += tg.size
+            for got, parts in zip((rows, cols, d, w), want):
+                assert np.array_equal(got, np.concatenate(parts))
+
+    def test_grouped_local_linear_fits_match_per_group_fits(self):
+        from fdrecon.smoothing import _llk_fit_1d
+
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            xs, ts = self.grouped_input(rng)
+            ys = [rng.normal(size=x.size) for x in xs]
+            x, y, t = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
+            x_group = np.repeat(np.arange(len(xs)), [a.size for a in xs])
+            t_group = np.repeat(np.arange(len(ts)), [a.size for a in ts])
+            got = _llk_fit_1d(x, y, t, 0.2, groups=(x_group, t_group))
+            want = [_llk_fit_1d(xg, yg, tg, 0.2) for xg, yg, tg in zip(xs, ys, ts)]
+            for g, parts in zip(got, zip(*want)):
+                np.testing.assert_array_equal(g, np.concatenate(parts))
