@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -22,13 +22,15 @@ class Subdomain:
 
     ``intervals`` keeps the exact interval ends; ``grid_indices`` holds the
     grid points they contain, one contiguous run per interval. The runs are
-    split once, on construction, and kept.
+    split once, on construction (or passed in as ``runs`` by a constructor
+    that has split them already), and kept.
     """
 
     intervals: tuple[tuple[float, float], ...]
     grid_indices: np.ndarray
+    runs: InitVar[list[np.ndarray] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, runs):
         idx = np.asarray(self.grid_indices, dtype=int)
         if idx.size == 0:
             raise DataError("subdomain has no grid points")
@@ -42,7 +44,7 @@ class Subdomain:
         for (_, b0), (a1, _) in zip(ivals, ivals[1:]):
             if a1 <= b0:
                 raise DataError("subintervals must be disjoint and ordered")
-        blocks = _contiguous_blocks(idx)
+        blocks = _contiguous_blocks(idx) if runs is None else runs
         if len(ivals) != len(blocks):
             raise DataError("subdomain needs one interval per contiguous run of grid indices")
         object.__setattr__(self, "intervals", ivals)
@@ -54,17 +56,16 @@ class Subdomain:
         idx = np.nonzero((grid.points >= a - tol) & (grid.points <= b + tol))[0]
         if idx.size == 0:
             raise DataError(f"no grid points inside [{a}, {b}]")
-        return cls(((float(a), float(b)),), idx)
+        return cls(((float(a), float(b)),), idx, [idx])
 
     @classmethod
     def from_indices(cls, grid: DomainGrid, indices: Sequence[int]) -> "Subdomain":
         idx = np.unique(np.asarray(indices, dtype=int))
         if idx.size == 0:
             raise DataError("subdomain has no grid points")
-        intervals = []
-        for block in _contiguous_blocks(idx):
-            intervals.append((float(grid.points[block[0]]), float(grid.points[block[-1]])))
-        return cls(tuple(intervals), idx)
+        blocks = _contiguous_blocks(idx)
+        intervals = [(float(grid.points[b[0]]), float(grid.points[b[-1]])) for b in blocks]
+        return cls(tuple(intervals), idx, blocks)
 
     def blocks(self) -> list[np.ndarray]:
         """Contiguous runs of grid indices, one per subinterval."""
@@ -107,18 +108,21 @@ class Subdomain:
         outside = np.nonzero(~inside)[0]
         if outside.size == 0:
             raise DataError("subdomain covers the whole grid; empty complement")
-        comp = Subdomain.from_indices(grid, outside)
         starts, stops = {}, {}
         for block, (lo, hi) in zip(self.blocks(), self.off_grid_ends(grid)):
             if lo is not None:
                 starts[int(block[0])] = lo
             if hi is not None:
                 stops[int(block[-1])] = hi
+        blocks = _contiguous_blocks(outside)
         intervals = tuple(
-            (stops.get(int(block[0]) - 1, a), starts.get(int(block[-1]) + 1, b))
-            for block, (a, b) in zip(comp.blocks(), comp.intervals)
+            (
+                stops.get(int(block[0]) - 1, float(grid.points[block[0]])),
+                starts.get(int(block[-1]) + 1, float(grid.points[block[-1]])),
+            )
+            for block in blocks
         )
-        return Subdomain(intervals, outside)
+        return Subdomain(intervals, outside, blocks)
 
     def trapezoid_weights(self, grid: DomainGrid) -> np.ndarray:
         """Per-block trapezoid quadrature weights aligned with grid_indices."""
@@ -151,16 +155,15 @@ def interp_columns(u, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     if xp.size == 1:
         return np.repeat(fp[:1], u.size, axis=0)
     j = np.searchsorted(xp[1:-1], u, side="right")
-    x0, x1 = xp[j][:, None], xp[j + 1][:, None]
+    x0, x1 = xp[j], xp[j + 1]
     f0, f1 = fp[j], fp[j + 1]
-    uu = u[:, None]
-    slope = (f1 - f0) / (x1 - x0)
-    out = slope * (uu - x0) + f0
+    slope = (f1 - f0) / (x1 - x0)[:, None]
+    out = slope * (u - x0)[:, None] + f0
     retry = np.isnan(out)
     if retry.any():
-        out = np.where(retry, slope * (uu - x1) + f1, out)
+        out = np.where(retry, slope * (u - x1)[:, None] + f1, out)
         out = np.where(np.isnan(out) & (f0 == f1), f0, out)
-    hit = u == xp[j]
+    hit = u == x0
     if hit.any():
         out[hit] = f0[hit]
     out[u < xp[0]] = fp[0]
@@ -169,8 +172,8 @@ def interp_columns(u, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 
 def _contiguous_blocks(idx: np.ndarray) -> list[np.ndarray]:
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    return np.split(idx, breaks + 1)
+    edges = [0, *(np.flatnonzero(np.diff(idx) > 1) + 1).tolist(), idx.size]
+    return [idx[a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,11 @@ class EigenSystem:
         """Eigenfunction values at arbitrary points of the subdomain, shape (len(u), K)."""
         k = self.k_available if k_max is None else int(k_max)
         return interp_columns(u, self.nodes, self.eigenfunctions[:, :k])
+
+    @cached_property
+    def node_spans(self) -> np.ndarray:
+        """The first and last node of every subdomain interval, shape (2, n_intervals)."""
+        return np.array([[self.nodes[s.start], self.nodes[s.stop - 1]] for s in self.node_blocks]).T
 
     @cached_property
     def end_values(self) -> np.ndarray:

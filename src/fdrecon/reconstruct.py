@@ -51,6 +51,10 @@ PROV_RECONSTRUCTED = 1
 
 METHODS = ("ano", "anoce", "ayes", "ayesce", "pace", "kraus")
 GCV_MAX_COMPONENTS = 20
+# Target geometries one stacked GCV pass takes. Its arrays grow with their
+# number: a pass over the 50 geometries of a DGP-1 replication (n=50, m=15)
+# peaked at 8 MB, passes of 16 at 3 MB, for about 5% more GCV time.
+GCV_PARTS_PER_PASS = 16
 KRAUS_RHO_GRID_DECADES = (-6.0, 2.0)
 KRAUS_RHO_GRID_SIZE = 9
 
@@ -120,13 +124,16 @@ class ReconstructionModel:
     dataset: FunctionalDataset | None = None
     lambda_rel_floor: float = DEFAULT_LAMBDA_REL_FLOOR
     _eig_cache: dict = field(default_factory=dict, repr=False)
+    _full: Subdomain | None = field(default=None, init=False, repr=False)
 
     @property
     def grid(self) -> DomainGrid:
         return self.mean.grid
 
     def full_subdomain(self) -> Subdomain:
-        return Subdomain.from_indices(self.grid, np.arange(self.grid.size))
+        if self._full is None:
+            self._full = Subdomain.from_indices(self.grid, np.arange(self.grid.size))
+        return self._full
 
     def eigensystem_for(self, subdomain: Subdomain) -> EigenSystem:
         key = subdomain.key()
@@ -346,20 +353,27 @@ def reconstruct_ayes(
     values = np.full(grid.size, np.nan)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
     provenance[o_idx] = PROV_OBSERVED
+    m_idx = np.flatnonzero(provenance == PROV_RECONSTRUCTED)
 
-    # Observed part: the individual local-linear smoother, with the
-    # expansion value as fallback where the local fit fails.
-    smoothed, ok = _smoothed_on(curve.u, curve.y, grid.points[o_idx], model.bandwidths.h_x)
+    # One local-linear pass of the curve smooths the observed grid points and
+    # the interval ends; its windows are per target point.
+    ends = np.array(eigsys.subdomain.intervals).ravel()
+    smoothed, ok = _smoothed_on(
+        curve.u, curve.y, np.concatenate([grid.points[o_idx], ends]), model.bandwidths.h_x
+    )
+    end_smoothing = (smoothed[o_idx.size :], ok[o_idx.size :])
+    smoothed, ok = smoothed[: o_idx.size], ok[: o_idx.size]
+
+    # Observed part: the curve's smooth, with the expansion value as
+    # fallback where the local fit fails.
     ano_on_o = model.mean.values[o_idx] + (
         eigsys.extrapolated[o_idx, :k] @ scores.values if k else 0.0
     )
     values[o_idx] = np.where(ok, smoothed, ano_on_o)
     n_smooth_fallback = int((~ok).sum())
 
-    end_smoothing = _end_smoothing(curve, eigsys, model)
     x_ends = _anchor_values(end_smoothing, eigsys, model, scores, k)
 
-    m_idx = np.setdiff1d(np.arange(grid.size), o_idx)
     if m_idx.size:
         vals_m = _aligned_values(eigsys, model.mean, m_idx, x_ends, scores.values)
         values[m_idx] = vals_m
@@ -377,12 +391,6 @@ def reconstruct_ayes(
             "n_anchor_fallback": int((~end_smoothing[1]).sum()),
         },
     )
-
-
-def _end_smoothing(curve, eigsys, model):
-    """Local-linear curve values at the subdomain interval ends and whether each fit held."""
-    ends = np.array(eigsys.subdomain.intervals).ravel()
-    return _smoothed_on(curve.u, curve.y, ends, model.bandwidths.h_x)
 
 
 def _anchor_values(smoothing, eigsys, model, scores, k) -> np.ndarray:
@@ -546,59 +554,63 @@ def error_variance(
     return out
 
 
-def _stacked(parts):
-    """The (u, y) parts concatenated, with the part number of every point."""
-    if not parts:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=int)
-    us, ys = zip(*parts)
-    return np.concatenate(us), np.concatenate(ys), np.repeat(np.arange(len(us)), [u.size for u in us])
+def _contains(observed: Sequence[Subdomain], u: np.ndarray) -> np.ndarray:
+    """``observed[j].contains(u)`` for every part j at once, one row per part."""
+    lo, hi = np.array([iv for o_sub in observed for iv in o_sub.intervals]).T
+    first = np.cumsum([0] + [len(o_sub.intervals) for o_sub in observed[:-1]])
+    return np.logical_or.reduceat((u >= lo[:, None]) & (u <= hi[:, None]), first, axis=0)
 
 
 class _SplitBatch:
-    """The GCV splits of the complete curves, their points stacked split by split.
+    """The completely observed curves split at each observed part, stacked.
 
-    ``n_complete`` counts the complete curves and ``n_degenerate`` the
-    splits that are None. The other ``n`` splits are numbered in id order;
-    ``obs`` and ``miss`` hold (u, y, split number) of their pseudo-observed
-    and pseudo-missing points, sorted within each split.
+    A curve's observations inside an observed part stay observed; the rest
+    become pseudo-missing. A split is degenerate where nothing is
+    pseudo-missing or fewer than two distinct points stay observed. The
+    other ``n`` splits are numbered part by part, in id order within a part:
+    ``geometry`` holds the part of each and ``bounds[j]:bounds[j + 1]`` the
+    splits of part j; ``obs`` and ``miss`` hold (u, y, split number) of
+    their pseudo-observed and pseudo-missing points, sorted within each
+    split. ``n_complete`` counts the complete curves and ``n_degenerate``
+    the degenerate splits of each part.
     """
 
-    def __init__(self, splits: list):
-        live = [split for split in splits if split is not None]
-        self.n_complete = len(splits)
-        self.n = len(live)
-        self.n_degenerate = self.n_complete - self.n
-        self.obs = _stacked([(c.u[inside], c.y[inside]) for c, inside in live])
-        self.miss = _stacked([(c.u[~inside], c.y[~inside]) for c, inside in live])
+    def __init__(self, dataset: FunctionalDataset, observed: Sequence[Subdomain], margin_fraction):
+        complete = sorted(classify_complete(dataset, margin_fraction))
+        if not complete:
+            raise NotEstimableError("no complete curves for GCV")
+        by_id = {c.id: c for c in dataset.curves}
+        curves = [by_id[cid] for cid in complete]
+        sizes = np.array([c.n_obs for c in curves])
+        first = np.cumsum(sizes) - sizes
+        u = np.concatenate([c.u for c in curves])  # each curve's u is sorted
+        y = np.concatenate([c.y for c in curves])
+        inside = _contains(observed, u)
+        kept = np.add.reduceat(inside, first, axis=1, dtype=int)
+        lo = np.minimum.reduceat(np.where(inside, u, np.inf), first, axis=1)
+        hi = np.maximum.reduceat(np.where(inside, u, -np.inf), first, axis=1)
+        live = (kept < sizes) & (hi > lo)
+        self.n_complete = len(curves)
+        self.n_degenerate = (~live).sum(axis=1)
+        self.geometry = np.nonzero(live)[0]
+        self.n = self.geometry.size
+        self.bounds = np.searchsorted(self.geometry, np.arange(len(observed) + 1))
+        number = np.cumsum(live).reshape(live.shape) - 1
+        split = np.where(live, number, -1)[:, np.repeat(np.arange(len(curves)), sizes)]
 
+        def points(mask):
+            part, at = np.nonzero(mask & (split >= 0))
+            return u[at], y[at], split[part, at]
 
-def _gcv_splits(
-    model: ReconstructionModel,
-    dataset: FunctionalDataset,
-    target_m: Subdomain,
-    margin_fraction: float,
-) -> tuple[Subdomain, _SplitBatch]:
-    """The completely observed curves split at the target's missing region, in id order.
+        self.obs, self.miss = points(inside), points(~inside)
 
-    A curve's observations inside the target's observed part (the
-    complement of ``target_m``) stay observed; the rest become
-    pseudo-missing. Returns (observed part, splits); a split is (curve,
-    inside mask), or None where nothing is pseudo-missing or fewer than two
-    distinct points stay observed.
-    """
-    complete = sorted(classify_complete(dataset, margin_fraction))
-    if not complete:
-        raise NotEstimableError("no complete curves for GCV")
-    o_sub = target_m.complement(model.grid)
-    by_id = {c.id: c for c in dataset.curves}
-    splits = []
-    for cid in complete:
-        c = by_id[cid]
-        inside = o_sub.contains(c.u)
-        kept = c.u[inside]  # sorted, as c.u is
-        degenerate = inside.all() or kept.size == 0 or kept[-1] == kept[0]
-        splits.append(None if degenerate else (c, inside))
-    return o_sub, _SplitBatch(splits)
+    def restrict(self, points, keep: np.ndarray):
+        """Those of the (u, y, split) points whose split is kept, the kept splits renumbered."""
+        if keep.all():
+            return points
+        u, y, split = points
+        sel = keep[split]
+        return u[sel], y[sel], (np.cumsum(keep) - 1)[split[sel]]
 
 
 def select_truncation_gcv(
@@ -630,6 +642,8 @@ def _gcv_candidates(method, model, o_sub, n_complete, k_candidates):
     """The eigensystem of a method's GCV and its candidate truncations."""
     if method not in _SCORE_ROUTES:
         raise UsageError(f"unknown method {method!r}")
+    if o_sub.grid_indices.size == model.grid.size:
+        raise DataError("subdomain covers the whole grid; empty complement")
     eigsys = model.full_eigensystem() if method == "pace" else model.eigensystem_for(o_sub)
     k_cap = min(eigsys.k_available, n_complete - 1, GCV_MAX_COMPONENTS)
     if k_cap < 1:
@@ -644,25 +658,218 @@ def _gcv_candidates(method, model, o_sub, n_complete, k_candidates):
     return eigsys, candidates
 
 
-def _split_scores(route, batch: _SplitBatch, model, eigsys, k, quadrature):
-    """The first k scores of every split by route, one row per split.
+def _split_scores(route, batch: _SplitBatch, parts, eigsystems, ks, model, quadrature):
+    """The first k scores of every split of the given parts by route, one row per split.
 
-    Also returns, per split, the FdreconError its scores raised (else None).
+    Part parts[i] uses eigsystems[i] and ks[i]; rows of other parts stay
+    zero. Also returns, per split, the FdreconError its scores raised (else
+    None).
     """
-    u, y, group = batch.obs
+    keep = np.isin(batch.geometry, parts)
+    u, y, group = batch.restrict(batch.obs, keep)
+    n = int(keep.sum())
+    geometry = np.searchsorted(parts, batch.geometry[keep])
+    xi = np.zeros((batch.n, max(ks)))
+    errors: list[FdreconError | None] = [None] * batch.n
     try:
         if route == "integral":
             resid = y - model.mean.at(u)
-            values, _ = _integral_batch(u, resid, group, batch.n, eigsys, k, quadrature, True)
-            return values, [None] * batch.n
-        values, _, errors = _ce_batch(u, y, group, batch.n, eigsys, model.sigma2, model.mean, k)
-        return values, errors
+            values, _ = _integral_batch(
+                u, resid, group, n, eigsystems, ks, quadrature, True, geometry
+            )
+            found = [None] * n
+        else:
+            values, _, found = _ce_batch(
+                u, y, group, n, eigsystems, model.sigma2, model.mean, ks, geometry
+            )
+        xi[keep] = values
     except FdreconError as exc:
-        return None, [exc] * batch.n
+        found = [exc] * n
+    for i, exc in zip(np.flatnonzero(keep).tolist(), found):
+        errors[i] = exc
+    return xi, errors
+
+
+class _Expansion:
+    """Each part's truncated expansion at the pseudo-missing points of its splits.
+
+    Part j of ``parts`` uses fits[j] = (eigensystem, candidates) up to its
+    largest candidate. A loop over the parts evaluates what needs a part's
+    eigensystem: its extrapolated basis (``basis``, zero padded) and, for
+    the aligned methods, its anchors and interval ends. The interval-end
+    smoothing of every split is one smoother pass whose windows stay within
+    a split, and the residuals of every split and K come from one
+    cumulative sum.
+    """
+
+    def __init__(self, batch: _SplitBatch, parts, fits, model):
+        self.keep = np.isin(batch.geometry, parts)
+        self.u, self.y, self.group = batch.restrict(batch.miss, self.keep)
+        self.obs = batch.restrict(batch.obs, self.keep)
+        self.fits, self.model = fits, model
+        self.mean = model.mean.at(self.u)
+        before = np.concatenate([[0], np.cumsum(self.keep)])[batch.bounds].tolist()
+        at = np.searchsorted(self.group, before).tolist()
+        # Per part: its splits and its points among those kept.
+        self.runs = [(j, slice(before[j], before[j + 1]), slice(at[j], at[j + 1])) for j in parts]
+        self.basis = np.zeros((self.u.size, max(max(fits[j][1]) for j in parts)))
+        for j, _, rows in self.runs:
+            eigsys, candidates = fits[j]
+            k = max(candidates)
+            self.basis[rows, :k] = eigsys.extrapolated_at(self.u[rows], k)
+        self._aligned = None
+
+    def aligned(self):
+        """Per part its anchor and its splits' smoothed interval ends, and the aligned basis.
+
+        The aligned basis is the basis less the anchor basis.
+        """
+        if self._aligned is None:
+            anchors, basis, ends, t_group = {}, self.basis.copy(), [], []
+            for j, splits, rows in self.runs:
+                eigsys, candidates = self.fits[j]
+                k = max(candidates)
+                anchors[j] = _Anchor(eigsys, self.model.mean, self.u[rows], k)
+                basis[rows, :k] -= anchors[j].phi
+                anchors[j].phi = None  # only the shift is needed from here on
+                part_ends = np.array(eigsys.subdomain.intervals).ravel()
+                ends.append(np.tile(part_ends, splits.stop - splits.start))
+                t_group.append(np.repeat(np.arange(splits.start, splits.stop), part_ends.size))
+            u, y, group = self.obs
+            smoothed = _smoothed_on(
+                u, y, np.concatenate(ends), self.model.bandwidths.h_x,
+                groups=(group, np.concatenate(t_group)),
+            )
+            self._aligned = anchors, basis, smoothed
+        return self._aligned
+
+    def rss(self, xi: np.ndarray, aligned: bool) -> np.ndarray:
+        """Normalized residual sums per K of every kept split, one row per split.
+
+        ``xi`` holds the scores of every split; ``aligned`` anchors the
+        expansion at the split's smoothed interval ends.
+        """
+        xi = xi[self.keep]
+        base, basis = self.mean, self.basis
+        if aligned:
+            anchors, basis, (values, ok) = self.aligned()
+            base, at = self.mean.copy(), 0
+            for j, splits, rows in self.runs:
+                eigsys, candidates = self.fits[j]
+                n_ends = 2 * len(eigsys.subdomain.intervals)
+                ends = slice(at, at + n_ends * (splits.stop - splits.start))
+                at = ends.stop
+                smoothing = (values[ends].reshape(-1, n_ends), ok[ends].reshape(-1, n_ends))
+                x_ends = _anchor_values(smoothing, eigsys, self.model, xi[splits], max(candidates))
+                split = self.group[rows] - splits.start
+                base[rows] = anchors[j].shift(x_ends, self.mean[rows], split)
+        # (base + cumulative expansion) - y, formed in place; non-finite residuals count as 0.
+        resid = xi[self.group]
+        resid *= basis
+        for k in range(1, resid.shape[1]):  # np.cumsum along the rows, without a second array
+            resid[:, k] += resid[:, k - 1]
+        resid += base[:, None]
+        resid -= self.y[:, None]
+        resid[~np.isfinite(resid)] = 0.0
+        starts, sizes = _segments(self.group, xi.shape[0])
+        return np.add.reduceat(np.square(resid, out=resid), starts, axis=0) / sizes[:, None]
 
 
 # Score errors that skip a split for a method; any other FdreconError ends the method.
 _SKIPPING_ERRORS = (NotEstimableError, InsufficientLocalDataError, DataError)
+
+
+def select_truncations_gcv_many(
+    methods: Sequence[str],
+    model: ReconstructionModel,
+    dataset: FunctionalDataset,
+    observed: Sequence[Subdomain],
+    k_candidates: Sequence[int] | None = None,
+    margin_fraction: float = 0.1,
+    quadrature: str = "riemann",
+) -> list[dict[str, tuple[int, dict] | FdreconError]]:
+    """GCV truncation choices of several methods for many target geometries at once.
+
+    ``observed`` holds the observed part of each target geometry. Returns,
+    per part, what ``select_truncations_gcv`` returns for the target
+    missing the rest of the grid: each method mapped to its (K, details)
+    or to the error its own call would raise. The complete curves are
+    classified once and split at every part together; a short loop over
+    the parts evaluates what needs a part's eigensystem (the basis at the
+    split points, the interval-end values, the anchor weights), and the
+    quadrature, the score products, the interval-end smoothing and the
+    residual sums run on the splits of all parts at once. Methods on the
+    same score route (ano and ayes; anoce and ayesce) share the scores.
+    More than GCV_PARTS_PER_PASS parts are taken that many at a time, which
+    bounds the stacked arrays. Scores padded to a wider truncation than a
+    part's own may round differently in the last place, so the tables of a
+    part match those of its one-geometry call to rounding, and the choices
+    and counts are the same.
+
+    Raises NotEstimableError when the dataset has no complete curve; any
+    other error stays with its part and method.
+    """
+    if len(observed) > GCV_PARTS_PER_PASS:
+        return [
+            result
+            for at in range(0, len(observed), GCV_PARTS_PER_PASS)
+            for result in select_truncations_gcv_many(
+                methods, model, dataset, observed[at : at + GCV_PARTS_PER_PASS], k_candidates,
+                margin_fraction, quadrature,
+            )
+        ]
+    batch = _SplitBatch(dataset, observed, margin_fraction)
+    results: list[dict] = [{} for _ in observed]
+    shared: dict = {}
+    expansion_key = expansion = None
+    for method in methods:
+        fits = {}
+        for j, o_sub in enumerate(observed):
+            try:
+                fits[j] = _gcv_candidates(method, model, o_sub, batch.n_complete, k_candidates)
+            except FdreconError as exc:
+                results[j][method] = exc
+        if not fits:
+            continue
+        parts = list(fits)
+        ks = [max(fits[j][1]) for j in parts]
+        key = (_SCORE_ROUTES[method], tuple(parts), tuple(ks))
+        if key not in shared:
+            eigsystems = [fits[j][0] for j in parts]
+            shared[key] = _split_scores(key[0], batch, parts, eigsystems, ks, model, quadrature)
+        xi, errors = shared[key]
+        used = np.array([exc is None for exc in errors], dtype=bool)
+        selecting = []
+        for j in parts:
+            found = errors[batch.bounds[j] : batch.bounds[j + 1]]
+            fatal = [e for e in found if e is not None and not isinstance(e, _SKIPPING_ERRORS)]
+            if fatal:
+                results[j][method] = fatal[0]
+            elif not used[batch.bounds[j] : batch.bounds[j + 1]].any():
+                results[j][method] = NotEstimableError(
+                    "no complete curves for GCV (all splits degenerate)"
+                )
+            else:
+                selecting.append(j)
+        if not selecting:
+            continue
+        # One expansion at a time: methods on one eigensystem and truncation share it.
+        if (tuple(parts), tuple(ks), method == "pace") != expansion_key:
+            expansion = None  # release the previous one before building the next
+            expansion_key = (tuple(parts), tuple(ks), method == "pace")
+            expansion = _Expansion(batch, parts, fits, model)
+        rss = expansion.rss(xi, aligned=method in ("ayes", "ayesce"))
+        geometry = batch.geometry[expansion.keep]
+        summed = np.isin(geometry, selecting) & used[expansion.keep]
+        geometry = geometry[summed]
+        sums = np.add.reduceat(rss[summed], np.searchsorted(geometry, selecting), axis=0)
+        n_used = np.bincount(geometry, minlength=len(observed))
+        n_skipped = batch.n_degenerate + np.diff(batch.bounds) - n_used
+        for j, total in zip(selecting, sums):
+            results[j][method] = _gcv_choice(
+                fits[j][1], total, batch.n_complete, int(n_used[j]), int(n_skipped[j])
+            )
+    return results
 
 
 def select_truncations_gcv(
@@ -678,69 +885,23 @@ def select_truncations_gcv(
 
     Maps each method to its (K, details), or to the error its own
     ``select_truncation_gcv`` call would raise; the results equal those of
-    the single-method calls. Every split is evaluated at once: the
-    pseudo-observed and pseudo-missing points of all splits are stacked,
-    each tagged with its split. The mean and the (extrapolated) basis are
-    evaluated once over all of them; the integral scores are per-split
-    segment sums, the conditional-expectation scores solve one system per
-    split, the interval-end values of the aligned methods come from one
-    smoother pass whose windows stay within a split, and the residual sums
-    of every candidate K come from one cumulative sum. Methods on the same
-    score route (ano and ayes; anoce and ayesce) share the scores.
+    the single-method calls. This is the one-geometry case of
+    ``select_truncations_gcv_many``, on the complement of ``target_m``:
+    every split is evaluated at once, the points of all splits stacked and
+    each tagged with its split; the integral scores are per-split segment
+    sums, the conditional-expectation scores solve one system per split,
+    the interval-end values of the aligned methods come from one smoother
+    pass whose windows stay within a split, and the residual sums of every
+    candidate K come from one cumulative sum.
 
     A split whose scores raise NotEstimableError, InsufficientLocalDataError
     or DataError is skipped for that method (as is a degenerate split); any
     other FdreconError ends the method with its first such error in id order.
     """
-    o_sub, batch = _gcv_splits(model, dataset, target_m, margin_fraction)
-    u_miss, y_miss, g_miss = batch.miss
-    mu_miss = model.mean.at(u_miss)
-    starts, sizes = _segments(g_miss, batch.n)
-    shared: dict = {}
-    results: dict[str, tuple[int, dict] | FdreconError] = {}
-    for method in methods:
-        try:
-            eigsys, candidates = _gcv_candidates(
-                method, model, o_sub, batch.n_complete, k_candidates
-            )
-        except FdreconError as exc:
-            results[method] = exc
-            continue
-        k = max(candidates)
-        route = _SCORE_ROUTES[method]
-        if (route, k) not in shared:
-            shared[route, k] = _split_scores(route, batch, model, eigsys, k, quadrature)
-        xi, errors = shared[route, k]
-        used = np.array([exc is None for exc in errors], dtype=bool)
-        fatal = [exc for exc in errors if exc is not None and not isinstance(exc, _SKIPPING_ERRORS)]
-        if fatal:
-            results[method] = fatal[0]
-            continue
-        if not used.any():
-            results[method] = NotEstimableError("no complete curves for GCV (all splits degenerate)")
-            continue
-        base, basis = mu_miss, eigsys.extrapolated_at(u_miss, k)
-        if method in ("ayes", "ayesce"):
-            if "ends" not in shared:
-                ends = np.array(eigsys.subdomain.intervals).ravel()
-                u, y, group = batch.obs
-                smoothed = _smoothed_on(
-                    u, y, np.tile(ends, batch.n), model.bandwidths.h_x,
-                    groups=(group, np.repeat(np.arange(batch.n), ends.size)),
-                )
-                shared["ends"] = tuple(v.reshape(batch.n, ends.size) for v in smoothed)
-            anchor = _Anchor(eigsys, model.mean, u_miss, k)
-            x_ends = _anchor_values(shared["ends"], eigsys, model, xi, k)
-            base = anchor.shift(x_ends, mu_miss, g_miss)
-            basis = basis - anchor.phi
-        resid = base[:, None] + np.cumsum(basis * xi[g_miss], axis=1) - y_miss[:, None]
-        resid = np.where(np.isfinite(resid), resid, 0.0)
-        rss = np.add.reduceat(resid * resid, starts, axis=0) / sizes[:, None]
-        results[method] = _gcv_choice(
-            candidates, rss[used].sum(axis=0), batch.n_complete,
-            n_used=int(used.sum()), n_skipped=batch.n_degenerate + int((~used).sum()),
-        )
-    return results
+    return select_truncations_gcv_many(
+        methods, model, dataset, [target_m.complement(model.grid)],
+        k_candidates, margin_fraction, quadrature,
+    )[0]
 
 
 def _gcv_choice(candidates, rss, n_complete, n_used, n_skipped) -> tuple[int, dict]:
@@ -774,7 +935,8 @@ def select_kraus_ridge_gcv(
     interpolated at all pseudo-missing points together. A split whose
     pseudo-observed part cannot be smoothed anywhere is left out.
     """
-    o_sub, batch = _gcv_splits(model, dataset, target_m, margin_fraction)
+    o_sub = target_m.complement(model.grid)
+    batch = _SplitBatch(dataset, [o_sub], margin_fraction)
     op = _RidgeOperator(model, o_sub)
     trace = float(op.nu.sum())
     scale = max(trace / op.idx.size, 1e-300)

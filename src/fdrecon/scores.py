@@ -50,11 +50,82 @@ def _check_domain(curve: Curve, eigsys: EigenSystem) -> None:
         )
 
 
-def _in_blocks(u: np.ndarray, eigsys: EigenSystem) -> list[tuple[float, float, np.ndarray]]:
-    """Per subdomain interval: its first and last node and which of u fall between them."""
-    tol = 1e-9 * (eigsys.grid.b - eigsys.grid.a)
-    spans = [(eigsys.nodes[s][0], eigsys.nodes[s][-1]) for s in eigsys.node_blocks]
-    return [(lo, hi, (u >= lo - tol) & (u <= hi + tol)) for lo, hi in spans]
+class _Bases:
+    """The eigensystem and truncation of every group of a stacked batch.
+
+    Groups of geometry j use ``eigsystems[j]`` and its first ``ks[j]``
+    components; ``geometry`` holds the geometry of each group and never
+    decreases, so the points of one geometry form one run of a group-major
+    array. With one eigensystem, ``geometry`` is None. Scores come out
+    padded with zeros to the largest truncation.
+    """
+
+    def __init__(self, eigsystems, ks, n: int, geometry=None):
+        self.eigsystems = list(eigsystems)
+        self.ks = [int(k) for k in ks]
+        self.n, self.geometry = n, geometry
+        self.k = max(self.ks, default=0)
+
+    @classmethod
+    def of(cls, eigsys, k, n: int, geometry=None) -> "_Bases":
+        """One eigensystem and truncation for n groups, or with ``geometry`` one per geometry."""
+        if geometry is None:
+            return cls([eigsys], [k], n)
+        return cls(eigsys, k, n, np.asarray(geometry, dtype=int))
+
+    def runs(self, group: np.ndarray):
+        """Per geometry: (eigensystem, k, its slice of the points, its range of groups)."""
+        if self.geometry is None:
+            return [(self.eigsystems[0], self.ks[0], slice(0, group.size), range(self.n))]
+        ids = np.arange(len(self.eigsystems) + 1)
+        at_point = np.searchsorted(self.geometry[group], ids).tolist()
+        at_group = np.searchsorted(self.geometry, ids).tolist()
+        return [
+            (eig, k, slice(at_point[j], at_point[j + 1]), range(at_group[j], at_group[j + 1]))
+            for j, (eig, k) in enumerate(zip(self.eigsystems, self.ks))
+        ]
+
+    def phi_at(self, u: np.ndarray, group: np.ndarray) -> np.ndarray:
+        """Each point's first k eigenfunction values under its group's eigensystem."""
+        if self.geometry is None:
+            return self.eigsystems[0].phi_at(u, self.ks[0])
+        out = np.zeros((u.size, self.k))
+        for eig, k, rows, _ in self.runs(group):
+            out[rows, :k] = eig.phi_at(u[rows], k)
+        return out
+
+    def eigenvalues(self) -> np.ndarray:
+        """The first k eigenvalues of every group's eigensystem, one row per group."""
+        if self.geometry is None:
+            return self.eigsystems[0].eigenvalues[None, : self.k]
+        lam = np.zeros((len(self.eigsystems), self.k))
+        for j, (eig, k) in enumerate(zip(self.eigsystems, self.ks)):
+            lam[j, :k] = eig.eigenvalues[:k]
+        return lam[self.geometry]
+
+    def in_blocks(self, u: np.ndarray, group: np.ndarray):
+        """Per subdomain interval: each group's node span there and which of u lie inside it.
+
+        A span is the interval's first and last node; a group whose subdomain
+        has fewer intervals spans nothing in the missing ones. With one
+        eigensystem the spans are one value for every group.
+        """
+        grid = self.eigsystems[0].grid
+        tol = 1e-9 * (grid.b - grid.a)
+        if self.geometry is None:
+            lo_g, hi_g = self.eigsystems[0].node_spans  # one span per interval, for every group
+            lo, hi = lo_g, hi_g
+        else:
+            n_blocks = max(eig.node_spans.shape[1] for eig in self.eigsystems)
+            lo = np.full((len(self.eigsystems), n_blocks), np.inf)
+            hi = np.full((len(self.eigsystems), n_blocks), -np.inf)
+            for j, eig in enumerate(self.eigsystems):
+                lo[j, : eig.node_spans.shape[1]], hi[j, : eig.node_spans.shape[1]] = eig.node_spans
+            lo_g, hi_g = lo[self.geometry].T, hi[self.geometry].T  # per interval, each group's span
+            lo, hi = lo_g[:, group], hi_g[:, group]  # per interval, each point's span
+        return [
+            (lo_g[b], hi_g[b], (u >= lo[b] - tol) & (u <= hi[b] + tol)) for b in range(len(lo_g))
+        ]
 
 
 def _segments(group: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,55 +149,74 @@ def _quadrature_weights(u: np.ndarray, starts: np.ndarray, quadrature: str) -> n
 
 
 def _carried_to_ends(u, r, group, n, lo, hi):
-    """Each group's points with its first and last residual held out to lo and hi."""
+    """Each group's points with its first and last residual held out to its lo and hi.
+
+    lo and hi hold one value per group, or one value for every group.
+    """
     starts, sizes = _segments(group, n)
     has = np.nonzero(sizes)[0]
     first, last = starts[has], starts[has] + sizes[has] - 1
+    lo, hi = (v[has] if np.ndim(v) else np.full(has.size, v) for v in (lo, hi))
     at = np.stack([first, last + 1], axis=1).ravel()
     add = np.stack([u[first] > lo, u[last] < hi], axis=1).ravel()
     at = at[add]
     return (
-        np.insert(u, at, np.tile([lo, hi], has.size)[add]),
+        np.insert(u, at, np.stack([lo, hi], axis=1).ravel()[add]),
         np.insert(r, at, np.stack([r[first], r[last]], axis=1).ravel()[add]),
         np.insert(group, at, np.repeat(has, 2)[add]),
     )
 
 
-def _integral_batch(u, resid, group, n, eigsys, k, quadrature, carry_to_ends):
+def _slabs(group: np.ndarray, n: int, sizes: np.ndarray, rows: np.ndarray, values) -> np.ndarray:
+    """Per group, rows^T values over its points: shape (n, rows.shape[1]).
+
+    The groups of each size are stacked into one batched product, which
+    forms every group's product exactly as a call on its points (and the
+    same columns) alone does.
+    """
+    if n == 1:
+        return (np.swapaxes(rows[None], 1, 2) @ values[None, :, None])[..., 0]
+    out = np.zeros((n, rows.shape[1]))
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        at_groups = np.flatnonzero(sizes == size)
+        at = starts[at_groups][:, None] + np.arange(size)
+        out[at_groups] = (np.swapaxes(rows[at], 1, 2) @ values[at][..., None])[..., 0]
+    return out
+
+
+def _integral_batch(u, resid, group, n, eigsys, k, quadrature, carry_to_ends, geometry=None):
     """Integral scores of n curves at once; the math of ``integral_scores``.
 
     u, resid and group hold the curves' centred observations one curve
     after another, each sorted. Every (interval, curve) run of at least two
-    points gets its own quadrature weights. Returns the (n, k) scores and
-    which curves had no such run.
+    points gets its own quadrature weights. All curves use ``eigsys`` and
+    truncation ``k``, or with ``geometry`` (each curve's geometry) curves
+    of geometry j use ``eigsys[j]`` and ``k[j]``. Returns the (n, k) scores
+    and which curves had no such run.
     """
     if quadrature not in ("riemann", "trapezoid"):
         raise UsageError(f"unknown quadrature {quadrature!r}")
+    bases = _Bases.of(eigsys, k, n, geometry)
     parts = []
-    for lo, hi, inside in _in_blocks(u, eigsys):
+    for lo, hi, inside in bases.in_blocks(u, group):
         uu, rr, gg = u[inside], resid[inside], group[inside]
         if carry_to_ends:
             uu, rr, gg = _carried_to_ends(uu, rr, gg, n, lo, hi)
         enough = np.bincount(gg, minlength=n)[gg] >= 2
-        parts.append((uu[enough], rr[enough], gg[enough]))
-    uu, rr, gg = (np.concatenate(p) for p in zip(*parts))
-    block = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
-    new_run = np.ones(uu.size, dtype=bool)
-    new_run[1:] = (gg[1:] != gg[:-1]) | (block[1:] != block[:-1])
-    starts = np.flatnonzero(new_run)
-    terms = rr * _quadrature_weights(uu, starts, quadrature)
-    # Each curve's points, in interval order, padded to one slab per curve:
-    # one stacked matrix-vector product integrates every curve, and for a
-    # single curve it is the product over its points alone.
-    order = np.argsort(gg, kind="stable")
-    gg = gg[order]
-    first, sizes = _segments(gg, n)
-    slot = np.arange(gg.size) - first[gg]
-    phi = np.zeros((n, sizes.max(initial=0), k))
-    phi[gg, slot] = eigsys.phi_at(uu[order], k)
-    rw = np.zeros(phi.shape[:2])
-    rw[gg, slot] = terms[order]
-    return (np.swapaxes(phi, 1, 2) @ rw[..., None])[..., 0], sizes == 0
+        uu, rr, gg = uu[enough], rr[enough], gg[enough]
+        new_run = np.ones(uu.size, dtype=bool)
+        new_run[1:] = gg[1:] != gg[:-1]
+        parts.append((uu, rr * _quadrature_weights(uu, np.flatnonzero(new_run), quadrature), gg))
+    if len(parts) == 1:
+        ((uu, terms, gg),) = parts
+    else:
+        # The parts run interval by interval; gather each curve's points, in interval order.
+        uu, terms, gg = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(gg, kind="stable")
+        uu, terms, gg = uu[order], terms[order], gg[order]
+    sizes = np.bincount(gg, minlength=n)
+    return _slabs(gg, n, sizes, bases.phi_at(uu, gg), terms), sizes == 0
 
 
 def integral_scores(
@@ -185,8 +275,9 @@ def _cholesky_lower(S: np.ndarray) -> np.ndarray:
 def _solve_spd(S: np.ndarray, rhs: np.ndarray):
     """Cholesky solve with the one-shot jitter policy.
 
-    Returns (solution, condition_estimate, jittered). A matrix that stays
-    non positive definite after one ridge of 1e-8 * trace/m raises.
+    Returns (solution, diagonal of the Cholesky factor, jittered). A matrix
+    that stays non positive definite after one ridge of 1e-8 * trace/m
+    raises.
     """
     m = S.shape[0]
     try:
@@ -205,45 +296,63 @@ def _solve_spd(S: np.ndarray, rhs: np.ndarray):
             except np.linalg.LinAlgError:
                 cond = float("inf")
             raise IllConditionedError("ill-conditioned score system", cond) from None
-    diag = np.diagonal(c)
-    cond_est = float((diag.max() / max(diag.min(), 1e-300)) ** 2)
     sol, info = dpotrs(c, rhs, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
-    return sol, cond_est, jittered
+    return sol, np.diagonal(c), jittered
 
 
-def _ce_batch(u, y, group, n, eigsys, sigma2, mean, k):
+def _ce_batch(u, y, group, n, eigsys, sigma2, mean, k, geometry=None):
     """Conditional-expectation scores of n curves at once; the math of ``ce_scores``.
 
-    u, y and group hold the curves' observations one curve after another.
-    The eigenfunctions are evaluated once at every point, then each curve
-    solves its own system. Returns the (n, k) scores, the flags per curve
-    and the FdreconError of each curve whose solve failed (else None).
+    u, y and group hold the curves' observations one curve after another;
+    ``eigsys``, ``k`` and ``geometry`` are as in ``_integral_batch``. The
+    eigenfunctions are evaluated once per geometry, then each curve factors
+    and solves its own system; the condition estimates, the flags and the
+    score products are formed for all curves together. Returns the (n, k)
+    scores, the flags per curve and the FdreconError of each curve whose
+    solve failed (else None).
     """
-    inside = functools.reduce(np.logical_or, [sel for _, _, sel in _in_blocks(u, eigsys)])
+    bases = _Bases.of(eigsys, k, n, geometry)
+    inside = functools.reduce(np.logical_or, [sel for _, _, sel in bases.in_blocks(u, group)])
     u, y, group = u[inside], y[inside], group[inside]
-    phi_all = eigsys.phi_at(u)
     resid = y - mean.at(u)
-    values = np.zeros((n, k))
-    flags: list[tuple[str, ...]] = [("insufficient points",)] * n
-    errors: list[FdreconError | None] = [None] * n
     starts, sizes = _segments(group, n)
-    for g, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-        if size == 0:
+    starts_list, sizes_list = starts.tolist(), sizes.tolist()
+    phi_k = np.zeros((u.size, bases.k))
+    sol = np.zeros(u.size)
+    chol_diag = np.ones(u.size)
+    jittered = [False] * n
+    errors: list[FdreconError | None] = [None] * n
+    for eig, k_run, run, groups in bases.runs(group):
+        phi_all = eig.phi_at(u[run])
+        phi_k[run, :k_run] = phi_all[:, :k_run]
+        for g in groups:
+            if not sizes_list[g]:
+                continue
+            rows = slice(starts_list[g], starts_list[g] + sizes_list[g])
+            local = slice(rows.start - run.start, rows.stop - run.start)
+            try:
+                S = _observation_covariance(phi_all[local], eig, sigma2)
+                sol[rows], chol_diag[rows], jittered[g] = _solve_spd(S, resid[rows])
+            except FdreconError as exc:
+                errors[g] = exc
+    # Condition estimate: the squared ratio of the Cholesky factor's extreme diagonal entries.
+    filled = sizes > 0
+    edges = starts[filled]
+    top, low = np.maximum.reduceat(chol_diag, edges), np.minimum.reduceat(chol_diag, edges)
+    cond = iter(((top / np.maximum(low, 1e-300)) ** 2).tolist())
+    flags = []
+    for ok, exc, jit in zip(filled.tolist(), errors, jittered):
+        c = next(cond) if ok else 0.0
+        if not ok or exc is not None:
+            flags.append(("insufficient points",))
             continue
-        rows = slice(start, start + size)
-        phi = phi_all[rows]
-        try:
-            S = _observation_covariance(phi, eigsys, sigma2)
-            sol, cond_est, jittered = _solve_spd(S, resid[rows])
-        except FdreconError as exc:
-            errors[g] = exc
-            continue
-        flags[g] = ("jitter applied",) if jittered else ()
-        if cond_est > CONDITION_FLAG_THRESHOLD:
-            flags[g] += (f"ill-conditioned (cond~{cond_est:.2e})",)
-        values[g] = eigsys.eigenvalues[:k] * (np.ascontiguousarray(phi[:, :k]).T @ sol)
+        flags.append(
+            (("jitter applied",) if jit else ())
+            + ((f"ill-conditioned (cond~{c:.2e})",) if c > CONDITION_FLAG_THRESHOLD else ())
+        )
+    values = bases.eigenvalues() * _slabs(group, n, sizes, phi_k, sol)
     return values, flags, errors
 
 

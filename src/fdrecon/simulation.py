@@ -17,7 +17,7 @@ from .reconstruct import (
     fit_reconstruction_model,
     reconstruct_with_method,
     select_kraus_ridge_gcv,
-    select_truncations_gcv,
+    select_truncations_gcv_many,
 )
 from .smoothing import Bandwidths
 
@@ -263,38 +263,39 @@ def _reconstruct_rep(
             failures[m] = [f"rep {rep}: model fit failed: {exc}"] * config.n_targets
         return out, failures, targets.truth
 
-    selection_cache: dict = {}
-    for t, curve in enumerate(targets.curves):
-        o_sub = curve_subdomain(curve, grid)
+    # One GCV pass selects K for every truncation method and distinct target geometry.
+    observed = [curve_subdomain(curve, grid) for curve in targets.curves]
+    parts = {o_sub.key(): o_sub for o_sub in observed}
+    truncation = [m for m in methods if m != "kraus"]
+    selection: dict = {}
+    if truncation:
+        try:
+            chosen = select_truncations_gcv_many(
+                truncation,
+                model,
+                dataset,
+                list(parts.values()),
+                margin_fraction=margin_fraction,
+                quadrature=quadrature,
+            )
+        except FdreconError as exc:
+            chosen = [dict.fromkeys(truncation, exc)] * len(parts)
+        selection = dict(zip(parts, chosen))
+    ridge: dict = {}
+    for t, (curve, o_sub) in enumerate(zip(targets.curves, observed)):
         bin_key = o_sub.key()
-        pending = [m for m in methods if m != "kraus" and (bin_key, m) not in selection_cache]
-        if pending:
-            # One pass over the GCV splits serves every truncation method.
-            try:
-                selected = select_truncations_gcv(
-                    pending,
-                    model,
-                    dataset,
-                    o_sub.complement(grid),
-                    margin_fraction=margin_fraction,
-                    quadrature=quadrature,
-                )
-            except FdreconError as exc:
-                selected = dict.fromkeys(pending, exc)
-            for m, res in selected.items():
-                selection_cache[(bin_key, m)] = res
         for m in methods:
             try:
                 if m == "kraus":
-                    rho = selection_cache.get((bin_key, m))
+                    rho = ridge.get(bin_key)
                     if rho is None:
                         rho, _ = select_kraus_ridge_gcv(
                             model, dataset, o_sub.complement(grid), margin_fraction=margin_fraction
                         )
-                        selection_cache[(bin_key, m)] = rho
+                        ridge[bin_key] = rho
                     rec = reconstruct_with_method(m, curve, model, rho=rho, dataset=dataset)
                 else:
-                    selected = selection_cache[(bin_key, m)]
+                    selected = selection[bin_key][m]
                     if isinstance(selected, FdreconError):
                         raise selected
                     rec = reconstruct_with_method(

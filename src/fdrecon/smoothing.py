@@ -425,23 +425,30 @@ def _difference_pairs(dataset: FunctionalDataset, mean: MeanEstimate, h_t: float
     average of their diagonal raw products minus their off-diagonal raw
     covariance, so its local regression intercept at zero gap is the noise
     variance; pairing cancels the shared curve-level fluctuation exactly.
+    Pairs run curve by curve, then by lag, then by position.
     """
-    s_parts, t_parts, d_parts = [], [], []
-    for c in dataset.curves:
-        u = c.u
-        resid = c.y - mean.at(u)
-        # Sorted abscissae: pairs within h_t of each other are near neighbors.
-        for offset in range(1, c.n_obs):
-            gaps = u[offset:] - u[:-offset]
-            keep = gaps < h_t
-            if not np.any(keep):
-                break
-            s_parts.append(0.5 * (u[offset:] + u[:-offset])[keep])
-            t_parts.append(gaps[keep])
-            d_parts.append(0.5 * (resid[offset:] - resid[:-offset])[keep] ** 2)
-    if not s_parts:
+    u = dataset.pooled_u()
+    resid = dataset.pooled_y() - mean.at(u)
+    curve = np.repeat(np.arange(dataset.n_curves), [c.n_obs for c in dataset.curves])
+    parts = []
+    # Sorted abscissae within a curve: pairs within h_t of each other are near
+    # neighbours, and a lag without such a pair ends the search.
+    for lag in range(1, u.size):
+        gaps = u[lag:] - u[:-lag]
+        at = np.flatnonzero((curve[lag:] == curve[:-lag]) & (gaps < h_t))
+        if not at.size:
+            break
+        parts.append((at, np.full(at.size, lag)))
+    if not parts:
         return np.array([]), np.array([]), np.array([])
-    return np.concatenate(s_parts), np.concatenate(t_parts), np.concatenate(d_parts)
+    first, lag = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((first, lag, curve[first]))
+    first, second = first[order], first[order] + lag[order]
+    return (
+        0.5 * (u[second] + u[first]),
+        u[second] - u[first],
+        0.5 * (resid[second] - resid[first]) ** 2,
+    )
 
 
 def _noise_fits(s, t, d, targets, h_s: float, h_t: float) -> np.ndarray:

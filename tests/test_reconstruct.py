@@ -202,7 +202,7 @@ class TestReconstructAyes:
         rec = reconstruct_ayes(curve, model, k=k, subdomain=sub, quadrature="trapezoid")
 
         from fdrecon import integral_scores, llk_curve
-        from fdrecon.reconstruct import _Anchor, _anchor_values, _end_smoothing, _mix
+        from fdrecon.reconstruct import _Anchor, _anchor_values, _mix
 
         scores = integral_scores(curve, eig, model.mean, k, quadrature="trapezoid")
         at = 0.45
@@ -211,7 +211,7 @@ class TestReconstructAyes:
         x_b1 = llk_curve(curve, 0.3, model.bandwidths.h_x)
         x_a2 = llk_curve(curve, 0.6, model.bandwidths.h_x)
         anchor = _Anchor(eig, model.mean, np.array([at]), k)
-        x_ends = _anchor_values(_end_smoothing(curve, eig, model), eig, model, scores, k)
+        x_ends = _anchor_values(end_smoothing(curve, eig, model), eig, model, scores, k)
         ax, amu, aphi = _mix(x_ends, *anchor.weights), anchor.mean, anchor.phi
         assert ax[0] == pytest.approx((1 - w) * x_b1 + w * x_a2, abs=1e-10)
         gi = int(np.argmin(np.abs(grid.points - at)))
@@ -545,13 +545,20 @@ def reference_splits(model, dataset, target_m, margin_fraction=0.1):
     return o_sub, splits
 
 
+def end_smoothing(curve, eigsys, model):
+    """Local-linear curve values at the subdomain interval ends and whether each fit held."""
+    from fdrecon.smoothing import _smoothed_on
+
+    ends = np.array(eigsys.subdomain.intervals).ravel()
+    return _smoothed_on(curve.u, curve.y, ends, model.bandwidths.h_x)
+
+
 def reference_truncations_gcv(
     methods, model, dataset, target_m, k_candidates=None, margin_fraction=0.1, quadrature="riemann"
 ):
     from fdrecon import DataError, FdreconError, InsufficientLocalDataError, NotEstimableError
     from fdrecon.reconstruct import (
-        _SCORE_ROUTES, _Anchor, _anchor_values, _end_smoothing, _gcv_candidates, _gcv_choice,
-        _scores,
+        _SCORE_ROUTES, _Anchor, _anchor_values, _gcv_candidates, _gcv_choice, _scores,
     )
 
     o_sub, splits = reference_splits(model, dataset, target_m, margin_fraction)
@@ -582,7 +589,7 @@ def reference_truncations_gcv(
                 base, basis = model.mean.at(u_miss), eigsys.extrapolated_at(u_miss, k)
                 if method in ("ayes", "ayesce"):
                     anchor = _Anchor(eigsys, model.mean, u_miss, k)
-                    smoothing = _end_smoothing(pseudo, eigsys, model)
+                    smoothing = end_smoothing(pseudo, eigsys, model)
                     base = anchor.shift(_anchor_values(smoothing, eigsys, model, scores, k), base)
                     basis = basis - anchor.phi
             except (NotEstimableError, InsufficientLocalDataError, DataError):
@@ -609,6 +616,19 @@ def reference_truncations_gcv(
                 st["candidates"], st["rss"], n_complete, st["used"], st["skipped"]
             )
     return results
+
+
+def reference_truncations_gcv_many(
+    methods, model, dataset, observed, k_candidates=None, margin_fraction=0.1, quadrature="riemann"
+):
+    """``reference_truncations_gcv`` once per observed part, each on the part's complement."""
+    return [
+        reference_truncations_gcv(
+            methods, model, dataset, o_sub.complement(model.grid), k_candidates, margin_fraction,
+            quadrature,
+        )
+        for o_sub in observed
+    ]
 
 
 def reference_ridge_gcv(model, dataset, target_m, margin_fraction=0.1):
@@ -813,9 +833,150 @@ class TestGcvReferenceOracles:
         cfg = DgpConfig(dgp=1, n=40, m=12, seed=seed, replications=1, n_targets=12)
         methods = ["ano", "ayes", "anoce", "ayesce", "kraus"]
         report = run_study(cfg, methods)
-        monkeypatch.setattr(simulation, "select_truncations_gcv", reference_truncations_gcv)
+        monkeypatch.setattr(simulation, "select_truncations_gcv_many", reference_truncations_gcv_many)
         monkeypatch.setattr(simulation, "select_kraus_ridge_gcv", reference_ridge_gcv)
         want = run_study(cfg, methods)
         assert report.rows == want.rows
         drop = lambda meta: {k: v for k, v in meta.items() if k != "runtime_s"}  # noqa: E731
         assert drop(report.metadata) == drop(want.metadata)
+
+
+def distinct_target_parts(model, targets):
+    """The observed parts of the targets, one per distinct geometry, in target order."""
+    parts = {}
+    for curve in targets.curves:
+        o_sub = curve_subdomain(curve, model.grid)
+        parts.setdefault(o_sub.key(), o_sub)
+    return list(parts.values())
+
+
+def assert_many_matches_one_geometry_calls(model, ds, observed, **kwargs):
+    """Each part's result equals the one-geometry call and the reference loop."""
+    from fdrecon.reconstruct import select_truncations_gcv, select_truncations_gcv_many
+
+    got = select_truncations_gcv_many(GCV_METHODS, model, ds, observed, **kwargs)
+    assert len(got) == len(observed)
+    for o_sub, many in zip(observed, got):
+        target_m = o_sub.complement(model.grid)
+        one = select_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
+        want = reference_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
+        assert list(many) == list(one) == list(want) == GCV_METHODS
+        for method in GCV_METHODS:
+            assert_same_selection(many[method], one[method])
+            assert_same_selection(many[method], want[method])
+    return got
+
+
+class TestManyGeometryGcv:
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_dgp_targets_equal_one_geometry_calls(self, dgp):
+        from fdrecon import DgpConfig, generate_dgp
+
+        cfg = DgpConfig(dgp=dgp, n=40, m=15 if dgp in (1, 2) else None, seed=dgp + 20,
+                        replications=1, n_targets=20)
+        ds, targets = generate_dgp(cfg, 0)
+        model = fit_reconstruction_model(ds)
+        observed = distinct_target_parts(model, targets)
+        if dgp in (3, 4):
+            # Lattice targets share geometries; each distinct one is evaluated once.
+            assert len(observed) < len(targets.curves)
+        got = assert_many_matches_one_geometry_calls(model, ds, observed)
+        assert all(isinstance(r, tuple) for part in got for r in part.values())
+
+    def test_candidates_and_trapezoid(self):
+        from fdrecon import DgpConfig, generate_dgp
+
+        cfg = DgpConfig(dgp=1, n=40, m=15, seed=31, replications=1, n_targets=10)
+        ds, targets = generate_dgp(cfg, 0)
+        model = fit_reconstruction_model(ds)
+        observed = distinct_target_parts(model, targets)
+        assert_many_matches_one_geometry_calls(model, ds, observed, k_candidates=[1, 3, 4])
+        assert_many_matches_one_geometry_calls(model, ds, observed, quadrature="trapezoid")
+
+    def test_more_parts_than_one_pass_takes(self, monkeypatch):
+        from fdrecon import reconstruct
+
+        ds, _ = rank3_dataset(n=40, m=20, seed=44, noise=0.05)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        observed = [Subdomain.from_interval(model.grid, 0.0, b) for b in (0.5, 0.61, 0.7, 0.83)]
+        observed.append(Subdomain.from_interval(model.grid, 0.4123, 0.6042).complement(model.grid))
+        monkeypatch.setattr(reconstruct, "GCV_PARTS_PER_PASS", 2)
+        assert_many_matches_one_geometry_calls(model, ds, observed)
+
+    def test_non_estimable_part_leaves_the_others(self):
+        from fdrecon import NotEstimableError
+
+        ds, _ = rank3_dataset(n=40, m=30, seed=43, noise=0.05)
+        grid = ds.grid
+        band = CovarianceEstimate.from_function(
+            grid, lambda u, v: sum(LAM[k] * PHI[k](u) * PHI[k](v) for k in range(3)),
+            band_halfwidth=0.35,
+        )
+        model = ReconstructionModel(
+            MeanEstimate.from_function(grid, MU), band, NoiseVariance(0.0025),
+            Bandwidths(0.06, 0.05, 0.07), ds,
+        )
+        observed = [
+            Subdomain.from_interval(grid, 0.1, 0.3),
+            Subdomain.from_interval(grid, 0.0, 0.8),
+            Subdomain.from_interval(grid, 0.62, 0.9),
+        ]
+        got = assert_many_matches_one_geometry_calls(model, ds, observed)
+        for method in GCV_METHODS[:-1]:
+            assert isinstance(got[0][method], tuple) and isinstance(got[2][method], tuple)
+            assert isinstance(got[1][method], NotEstimableError)
+        assert all(isinstance(part["pace"], NotEstimableError) for part in got)
+
+    def test_no_complete_curves(self):
+        from fdrecon import NotEstimableError
+        from fdrecon.reconstruct import select_truncations_gcv_many
+
+        rng = np.random.default_rng(45)
+        curves = [Curve(f"f{i}", np.sort(rng.uniform(0.2, 0.7, 12)), rng.normal(size=12))
+                  for i in range(10)]
+        ds = build_dataset(curves, domain=(0, 1))
+        model = rank3_model()
+        observed = [Subdomain.from_interval(model.grid, 0.2, 0.7)]
+        with pytest.raises(NotEstimableError, match="no complete curves for GCV"):
+            select_truncations_gcv_many(GCV_METHODS, model, ds, observed)
+        with pytest.raises(NotEstimableError, match="no complete curves for GCV"):
+            select_truncation_gcv("ano", model, ds, observed[0].complement(model.grid))
+
+    def test_run_study_selects_once_per_replication(self, monkeypatch):
+        from fdrecon import DgpConfig, generate_dgp, run_study, simulation
+
+        cfg = DgpConfig(dgp=3, n=40, seed=8, replications=2, n_targets=15)
+        calls = []
+        real = simulation.select_truncations_gcv_many
+
+        def spy(methods, model, dataset, observed, **kwargs):
+            calls.append([o_sub.key() for o_sub in observed])
+            return real(methods, model, dataset, observed, **kwargs)
+
+        monkeypatch.setattr(simulation, "select_truncations_gcv_many", spy)
+        run_study(cfg, ["ayes", "ano", "pace"])
+        _, targets = generate_dgp(cfg, 0)
+        want = [o_sub.key() for o_sub in distinct_target_parts(fit_reconstruction_model(
+            generate_dgp(cfg, 0)[0]), targets)]
+        assert calls == [want, want]
+
+    def test_run_study_reconstructs_each_target_at_its_own_k(self, monkeypatch):
+        from fdrecon import DgpConfig, generate_dgp, run_study, simulation
+
+        cfg = DgpConfig(dgp=1, n=40, m=12, seed=9, replications=1, n_targets=10)
+        seen = {}
+        real = simulation.reconstruct_with_method
+
+        def spy(method, curve, model, k=None, **kwargs):
+            seen[method, curve.id] = (k, model)
+            return real(method, curve, model, k=k, **kwargs)
+
+        monkeypatch.setattr(simulation, "reconstruct_with_method", spy)
+        run_study(cfg, ["ano", "ayesce"])
+        ds, targets = generate_dgp(cfg, 0)
+        for curve in targets.curves:
+            for method in ("ano", "ayesce"):
+                k, model = seen[method, curve.id]
+                target_m = curve_subdomain(curve, model.grid).complement(model.grid)
+                assert k == select_truncation_gcv(method, model, ds, target_m)[0]
+        assert len({k for k, _ in seen.values()}) > 1

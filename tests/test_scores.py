@@ -316,6 +316,33 @@ class TestScoreKernels:
             np.testing.assert_allclose(values[i], s.values, rtol=1e-13, atol=1e-15)
             assert empty[i] == ("insufficient points" in s.flags)
 
+    def test_condition_flags_per_curve(self, monkeypatch):
+        from scipy.linalg import cholesky
+
+        from fdrecon import scores
+        from fdrecon.scores import _ce_batch, _observation_covariance
+
+        grid, cov, eig, mean = two_interval_setup()
+        curves = random_curves(np.random.default_rng(26))
+        u = np.concatenate([c.u for c in curves])
+        y = np.concatenate([c.y for c in curves])
+        group = np.repeat(np.arange(len(curves)), [c.n_obs for c in curves])
+        tol = 1e-9 * (grid.b - grid.a)
+        lo, hi = eig.node_spans
+        conds = []
+        for c in curves:
+            inside = np.any((c.u[:, None] >= lo - tol) & (c.u[:, None] <= hi + tol), axis=1)
+            S = _observation_covariance(eig.phi_at(c.u[inside]), eig, NoiseVariance(0.05))
+            diag = np.diagonal(cholesky(S, lower=True))
+            conds.append((diag.max() / diag.min()) ** 2)
+        assert max(conds) < scores.CONDITION_FLAG_THRESHOLD
+        _, flags, _ = _ce_batch(u, y, group, len(curves), eig, NoiseVariance(0.05), mean, 2)
+        assert flags == [()] * len(curves)
+        # Below the threshold every system is flagged with its own estimate.
+        monkeypatch.setattr(scores, "CONDITION_FLAG_THRESHOLD", 0.0)
+        _, flags, _ = _ce_batch(u, y, group, len(curves), eig, NoiseVariance(0.05), mean, 2)
+        assert flags == [(f"ill-conditioned (cond~{c:.2e})",) for c in conds]
+
     def test_stacked_ce_scores_equal_one_curve_calls(self):
         from fdrecon.scores import _ce_batch
 

@@ -157,6 +157,35 @@ class TestRunStudy:
         run_study(cfg, ["ano"])
         assert sorted(calls) == [0, 1, 2]
 
+    def test_capture_hooks(self, monkeypatch):
+        # One generate_dgp call per replication and one reconstruct_with_method
+        # call per (method, target, replication), with the method and the
+        # curve first, looked up on the module: a run can be captured there.
+        import fdrecon.simulation as sim
+        from fdrecon import Curve
+
+        generated, reconstructed = [], []
+        real_generate, real_reconstruct = sim.generate_dgp, sim.reconstruct_with_method
+
+        def generate(config, rep):
+            generated.append(rep)
+            return real_generate(config, rep)
+
+        def reconstruct(method, curve, *args, **kwargs):
+            assert isinstance(method, str) and isinstance(curve, Curve)
+            reconstructed.append((method, curve.id))
+            return real_reconstruct(method, curve, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "generate_dgp", generate)
+        monkeypatch.setattr(sim, "reconstruct_with_method", reconstruct)
+        cfg = DgpConfig(dgp=1, n=30, m=10, seed=3, replications=2, n_targets=5)
+        methods = ["ayesce", "ano"]
+        report = run_study(cfg, methods)
+        assert report.metadata["failures"] == {"ayesce": 0, "ano": 0}
+        assert generated == [0, 1]
+        per_rep = [(m, f"t{t:03d}") for t in range(5) for m in methods]
+        assert reconstructed == per_rep + per_rep
+
     def test_unknown_method_rejected(self):
         cfg = DgpConfig(dgp=1, n=10, m=15, seed=1, replications=1)
         with pytest.raises(UsageError):

@@ -363,6 +363,53 @@ def _noise_fit_oracle(s, t, d, target, h_s, h_t):
         return float(b[0] / A[0, 0]), len(cols)
 
 
+def _difference_pairs_by_curve(ds, mean, h_t):
+    """Close pairs one curve at a time, lag by lag: the pair order of ``_difference_pairs``."""
+    s, t, d = [], [], []
+    for c in ds.curves:
+        r = c.y - mean.at(c.u)
+        for lag in range(1, c.n_obs):
+            gaps = c.u[lag:] - c.u[:-lag]
+            keep = gaps < h_t
+            if not np.any(keep):
+                break
+            s.append(0.5 * (c.u[lag:] + c.u[:-lag])[keep])
+            t.append(gaps[keep])
+            d.append(0.5 * (r[lag:] - r[:-lag])[keep] ** 2)
+    return tuple(np.concatenate(v) if v else np.array([]) for v in (s, t, d))
+
+
+class TestDifferencePairs:
+    def test_vectorized_pairs_equal_the_per_curve_loop(self):
+        from fdrecon.smoothing import _difference_pairs
+
+        rng = np.random.default_rng(53)
+        curves = []
+        for i in range(25):
+            a = rng.uniform(0, 0.6)
+            m = int(rng.integers(2, 20))
+            curves.append(Curve(f"f{i}", np.sort(rng.uniform(a, a + 0.4, m)), rng.normal(size=m)))
+        lattice = np.linspace(0, 1, 11)
+        curves += [Curve(f"l{i}", lattice, rng.normal(size=11)) for i in range(5)]
+        ds = build_dataset(curves, domain=(0, 1), grid_size=21)
+        mean = llk_mean(ds, ds.grid, 0.3)
+        for h_t in (0.005, 0.05, 0.12, 2.0):
+            got = _difference_pairs(ds, mean, h_t)
+            want = _difference_pairs_by_curve(ds, mean, h_t)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            pairs = _noise_pairs_oracle(ds, mean, h_t)
+            assert got[0].size == pairs[0].size
+            np.testing.assert_allclose(np.sort(got[2]), np.sort(pairs[2]), rtol=1e-15, atol=0)
+
+    def test_no_close_pair(self):
+        from fdrecon.smoothing import _difference_pairs
+
+        ds = build_dataset([Curve("a", np.array([0.0, 0.5, 1.0]), np.zeros(3))], domain=(0, 1))
+        got = _difference_pairs(ds, llk_mean(ds, ds.grid, 0.6), 0.1)
+        assert [v.size for v in got] == [0, 0, 0]
+
+
 class TestBruteForceOracles:
     """The windowed estimators against direct solves over all raw pairs."""
 
