@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,8 +20,8 @@ from .reconstruct import (
     curve_subdomain,
     fit_reconstruction_model,
     reconstruct_with_method,
-    select_kraus_ridge_gcv,
-    select_truncation_gcv,
+    select_kraus_ridge_gcv_many,
+    select_truncations_gcv_many,
 )
 from .scores import ce_scores, integral_scores
 from .simulation import DEFAULT_METHODS, DgpConfig, run_study
@@ -139,7 +141,7 @@ def _load(args) -> tuple:
 
 def _num(x) -> str:
     """A CSV number: the repr of the Python float, which reads back exactly; blank if missing."""
-    return "" if x is None or not np.isfinite(x) else repr(float(x))
+    return "" if x is None or not math.isfinite(x) else repr(float(x))
 
 
 def _curve(dataset, curve_id: str):
@@ -229,17 +231,36 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _resolve_k(args, model, dataset, curve) -> int:
-    grid = model.grid
-    o_sub = curve_subdomain(curve, grid)
-    if args.k == "gcv":
-        k, _ = select_truncation_gcv(
-            args.method, model, dataset, o_sub.complement(grid),
-            margin_fraction=args.margin, quadrature=args.scores_quadrature,
-        )
-        return k
+def _tune_targets(args, model, dataset, targets) -> dict:
+    """--method's GCV choice for each distinct target geometry, by key, or its error.
+
+    One GCV call covers them all. A target whose geometry cannot be formed
+    raises that error again when its key is looked up.
+    """
+    parts = {}
+    for curve in targets:
+        with contextlib.suppress(FdreconError):
+            o_sub = curve_subdomain(curve, model.grid)
+            parts.setdefault(o_sub.key(), o_sub)
+    if not parts:
+        return {}
+    observed = list(parts.values())
+    try:
+        if args.method == "kraus":
+            chosen = select_kraus_ridge_gcv_many(model, dataset, observed, margin_fraction=args.margin)
+        else:
+            chosen = [part[args.method] for part in select_truncations_gcv_many(
+                [args.method], model, dataset, observed,
+                margin_fraction=args.margin, quadrature=args.scores_quadrature,
+            )]
+    except FdreconError as exc:
+        chosen = [exc] * len(observed)
+    return dict(zip(parts, chosen))
+
+
+def _resolve_k(args, model, curve) -> int:
     if args.k == "fve":
-        eig = model.eigensystem_for(o_sub)
+        eig = model.eigensystem_for(curve_subdomain(curve, model.grid))
         return eig.fve_truncation(args.fve_threshold)
     try:
         return int(args.k)
@@ -267,14 +288,25 @@ def cmd_reconstruct(args) -> int:
             file=sys.stderr,
         )
 
+    # Every target is tuned before any is reconstructed; a failed tuning is
+    # raised when the loop reaches its target, after the earlier files.
+    kraus = args.method == "kraus"
+    by_gcv = args.rho is None if kraus else args.k == "gcv"
+    tunings = _tune_targets(args, model, dataset, targets) if by_gcv else None
     for curve in targets:
-        if args.method == "kraus":
+        tuned = args.rho if kraus else None
+        if tunings is not None:
+            selected = tunings[curve_subdomain(curve, model.grid).key()]
+            if isinstance(selected, FdreconError):
+                raise selected
+            tuned = selected[0]
+        if kraus:
             rec = reconstruct_with_method(
-                "kraus", curve, model, rho=args.rho, dataset=dataset,
+                "kraus", curve, model, rho=tuned, dataset=dataset,
                 include_error_variance=args.error_variance,
             )
         else:
-            k = _resolve_k(args, model, dataset, curve)
+            k = _resolve_k(args, model, curve) if tuned is None else tuned
             if args.iterative:
                 plan = IterationPlan(r_max=args.rmax, strategy=args.strategy)
                 rec = iterative_reconstruct(
@@ -335,21 +367,19 @@ def cmd_gcv_report(args) -> int:
         raise UsageError(f"--method must be one of {', '.join(METHODS)}")
     dataset, model = _load(args)
     curve = _curve(dataset, args.curve_id)
-    grid = model.grid
-    target_m = curve_subdomain(curve, grid).complement(grid)
+    key = curve_subdomain(curve, model.grid).key()
+    selected = _tune_targets(args, model, dataset, [curve])[key]
+    if isinstance(selected, FdreconError):
+        raise selected
+    choice, details = selected
     if args.method == "kraus":
-        rho, details = select_kraus_ridge_gcv(model, dataset, target_m, margin_fraction=args.margin)
         lines = [f"{_num(r)},{_num(g)}" for r, g in sorted(details["gcv"].items())]
         header = "rho,gcv"
-        chosen = f"chosen rho={_num(rho)}"
+        chosen = f"chosen rho={_num(choice)}"
     else:
-        k, details = select_truncation_gcv(
-            args.method, model, dataset, target_m,
-            margin_fraction=args.margin, quadrature=args.scores_quadrature,
-        )
         lines = [f"{kk},{_num(details['gcv'][kk])},{_num(details['rss'][kk])}" for kk in details["candidates"]]
         header = "K,gcv,rss"
-        chosen = f"chosen K={k}"
+        chosen = f"chosen K={choice}"
     comment = _resolved_config_comment("gcv-report", args)
     if args.out:
         _write_csv(Path(args.out), comment, header, lines)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -203,7 +204,7 @@ def load_dataset(
                 y = float(row[2])
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            if not (np.isfinite(u) and np.isfinite(y)):
+            if not (math.isfinite(u) and math.isfinite(y)):
                 raise ParseError(f"non-finite value in row {row!r}", line=lineno)
             us, ys = by_id.setdefault(cid, ([], []))
             us.append(u)

@@ -144,30 +144,35 @@ class Subdomain:
         )
 
 
-def interp_columns(u, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+def interp_columns(u, xp: np.ndarray, fp: np.ndarray, col=None) -> np.ndarray:
     """``np.interp(u, xp, fp[:, j])`` for every column j at once, shape (len(u), ncols).
 
     Follows np.interp value for value: the same bracketing interval, slope
     and rounding, constant extension beyond the ends, the node value where
-    u hits a node exactly, and the same handling of NaN values in fp.
+    u hits a node exactly, and the same handling of NaN values in fp. With
+    ``col``, point i is interpolated in column col[i] alone, shape (len(u),).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if xp.size == 1:
-        return np.repeat(fp[:1], u.size, axis=0)
+        return np.repeat(fp[:1], u.size, axis=0) if col is None else fp[0, col]
     j = np.searchsorted(xp[1:-1], u, side="right")
     x0, x1 = xp[j], xp[j + 1]
-    f0, f1 = fp[j], fp[j + 1]
-    slope = (f1 - f0) / (x1 - x0)[:, None]
-    out = slope * (u - x0)[:, None] + f0
+    per_point = (slice(None), None) if col is None else slice(None)
+    f0, f1 = (fp[j], fp[j + 1]) if col is None else (fp[j, col], fp[j + 1, col])
+    slope = (f1 - f0) / (x1 - x0)[per_point]
+    out = slope * (u - x0)[per_point] + f0
     retry = np.isnan(out)
     if retry.any():
-        out = np.where(retry, slope * (u - x1)[:, None] + f1, out)
+        out = np.where(retry, slope * (u - x1)[per_point] + f1, out)
         out = np.where(np.isnan(out) & (f0 == f1), f0, out)
     hit = u == x0
     if hit.any():
         out[hit] = f0[hit]
-    out[u < xp[0]] = fp[0]
-    out[u >= xp[-1]] = fp[-1]
+    below, above = u < xp[0], u >= xp[-1]
+    if col is None:
+        out[below], out[above] = fp[0], fp[-1]
+    else:
+        out[below], out[above] = fp[0, col[below]], fp[-1, col[above]]
     return out
 
 

@@ -55,6 +55,10 @@ GCV_MAX_COMPONENTS = 20
 # number: a pass over the 50 geometries of a DGP-1 replication (n=50, m=15)
 # peaked at 8 MB, passes of 16 at 3 MB, for about 5% more GCV time.
 GCV_PARTS_PER_PASS = 16
+# Parts one smoother pass of the ridge GCV takes. On 25 dense parts (50 curves
+# of 60 points) passes of 25, 8 and 4 parts peaked at 12.7, 5.1 and 3.2 MB,
+# against 6.6 MB for the model fit; passes of 1 to 4 parts ran equally fast.
+RIDGE_GCV_PARTS_PER_PASS = 4
 KRAUS_RHO_GRID_DECADES = (-6.0, 2.0)
 KRAUS_RHO_GRID_SIZE = 9
 
@@ -124,6 +128,7 @@ class ReconstructionModel:
     dataset: FunctionalDataset | None = None
     lambda_rel_floor: float = DEFAULT_LAMBDA_REL_FLOOR
     _eig_cache: dict = field(default_factory=dict, repr=False)
+    _ridge_cache: dict = field(default_factory=dict, init=False, repr=False)
     _full: Subdomain | None = field(default=None, init=False, repr=False)
 
     @property
@@ -144,6 +149,13 @@ class ReconstructionModel:
             )
             self._eig_cache[key] = eig
         return eig
+
+    def ridge_operator_for(self, o_sub: Subdomain) -> "_RidgeOperator":
+        key = o_sub.key()
+        op = self._ridge_cache.get(key)
+        if op is None:
+            op = self._ridge_cache[key] = _RidgeOperator(self, o_sub)
+        return op
 
     def full_eigensystem(self) -> EigenSystem:
         if not np.all(self.cov.mask):
@@ -443,33 +455,34 @@ class _RidgeOperator:
         w = o_sub.trapezoid_weights(model.grid)
         nu, self.q, self.d = _weighted_eigh(cov.surface[np.ix_(idx, idx)], w)
         self.nu = np.clip(nu, 0.0, None)
-        self.model, self.idx = model, idx
+        self.mean, self.h_x = model.mean.values, model.bandwidths.h_x
+        self.idx, self.points = idx, model.grid.points[idx]
         self.m_idx = np.setdiff1d(np.arange(model.grid.size), idx)
+        self.m_points = model.grid.points[self.m_idx]
         G_mo = cov.surface[np.ix_(self.m_idx, idx)]
         self.G_mo_w = np.where(np.isnan(G_mo), 0.0, G_mo) * w[None, :]
         self.row_ok = np.all(cov.mask[np.ix_(self.m_idx, idx)], axis=1)
 
-    def observe(self, u, y, group=None, n: int = 1):
-        """Curves smoothed onto the observed grid points, and those values centred and weighted.
+    def observe(self, u, y):
+        """One curve's observations smoothed onto the observed grid points; see ``centred``."""
+        smoothed, good = _smoothed_on(u, y, self.points, self.h_x)
+        return self.centred(smoothed[:, None], good[:, None])
 
-        (u, y) holds one curve's observations, or with ``group`` those of n
-        curves; the results hold one column per curve. A point where the
-        local fit fails takes the nearest good value of its column, the
-        lower one on a tie. Returns (smoothed, z0, ok), where ok is False
-        for a column without any good value.
+    def centred(self, smoothed: np.ndarray, good: np.ndarray):
+        """Curves smoothed onto the observed grid points, filled, and centred and weighted.
+
+        ``smoothed`` holds one column per curve and ``good`` whether each
+        local fit held. A point where it failed takes the nearest good value
+        of its column, the lower one on a tie. Returns (smoothed, z0, ok),
+        where ok is False for a column without any good value.
         """
-        points = self.model.grid.points[self.idx]
-        p = points.size
-        groups = None if group is None else (group, np.repeat(np.arange(n), p))
-        smoothed, good = _smoothed_on(u, y, np.tile(points, n), self.model.bandwidths.h_x,
-                                      groups=groups)
-        smoothed, good = smoothed.reshape(n, p).T, good.reshape(n, p).T
+        p = self.idx.size
         rows = np.arange(p)[:, None]
         before = np.maximum.accumulate(np.where(good, rows, -p), axis=0)
         after = np.minimum.accumulate(np.where(good, rows, 2 * p)[::-1], axis=0)[::-1]
         nearest = np.clip(np.where(rows - before <= after - rows, before, after), 0, p - 1)
         smoothed = np.take_along_axis(smoothed, nearest, axis=0)
-        z0 = self.d[:, None] * (smoothed - self.model.mean.values[self.idx][:, None])
+        z0 = self.d[:, None] * (smoothed - self.mean[self.idx][:, None])
         return smoothed, z0, good.any(axis=0)
 
     def predict(self, z0: np.ndarray, rho: float) -> np.ndarray:
@@ -481,7 +494,7 @@ class _RidgeOperator:
         """
         col = (slice(None),) + (None,) * (z0.ndim - 1)
         z = (self.q @ ((self.q.T @ z0) / (self.nu + rho)[col])) / self.d[col]
-        vals = self.model.mean.values[self.m_idx][col] + self.G_mo_w @ z
+        vals = self.mean[self.m_idx][col] + self.G_mo_w @ z
         vals[~self.row_ok] = np.nan
         return vals
 
@@ -513,10 +526,10 @@ def reconstruct_kraus(
     if not (np.isfinite(rho) and rho > 0):
         raise UsageError(f"ridge parameter must be positive, got {rho}")
 
-    op = _RidgeOperator(model, o_sub)
+    op = model.ridge_operator_for(o_sub)
     smoothed, z0, ok = op.observe(curve.u, curve.y)
     if not ok[0]:
-        raise InsufficientLocalDataError(grid.points[op.idx[0]], 0)
+        raise InsufficientLocalDataError(op.points[0], 0)
     smoothed, z0 = smoothed[:, 0], z0[:, 0]
     values = np.full(grid.size, np.nan)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
@@ -801,10 +814,9 @@ def select_truncations_gcv_many(
     residual sums run on the splits of all parts at once. Methods on the
     same score route (ano and ayes; anoce and ayesce) share the scores.
     More than GCV_PARTS_PER_PASS parts are taken that many at a time, which
-    bounds the stacked arrays. Scores padded to a wider truncation than a
-    part's own may round differently in the last place, so the tables of a
-    part match those of its one-geometry call to rounding, and the choices
-    and counts are the same.
+    bounds the stacked arrays. Each score product is formed at its part's
+    own truncation, so a part's tables equal those of its one-geometry call
+    bit for bit, whatever parts share its pass.
 
     Raises NotEstimableError when the dataset has no complete curve; any
     other error stays with its part and method.
@@ -930,44 +942,109 @@ def select_kraus_ridge_gcv(
 
     The candidates are KRAUS_RHO_GRID_SIZE values log-spaced over
     KRAUS_RHO_GRID_DECADES around the mean eigenvalue of the observed block.
-    Every split is predicted at once: its smoothed pseudo-observed values
-    are one column of the ridge operator's input, and the predictions are
-    interpolated at all pseudo-missing points together. A split whose
-    pseudo-observed part cannot be smoothed anywhere is left out.
+    This is the one-geometry case of ``select_kraus_ridge_gcv_many``, on
+    the complement of ``target_m``.
     """
-    o_sub = target_m.complement(model.grid)
-    batch = _SplitBatch(dataset, [o_sub], margin_fraction)
-    op = _RidgeOperator(model, o_sub)
+    result = select_kraus_ridge_gcv_many(
+        model, dataset, [target_m.complement(model.grid)], margin_fraction
+    )[0]
+    if isinstance(result, FdreconError):
+        raise result
+    return result
+
+
+def select_kraus_ridge_gcv_many(
+    model: ReconstructionModel,
+    dataset: FunctionalDataset,
+    observed: Sequence[Subdomain],
+    margin_fraction: float = 0.1,
+) -> list[tuple[float, dict] | FdreconError]:
+    """Ridge GCV choices for many target geometries at once.
+
+    ``observed`` holds the observed part of each target geometry. Returns,
+    per part, what ``select_kraus_ridge_gcv`` returns for the target missing
+    the rest of the grid, or the error it would raise. The complete curves
+    are split at every part together, and one smoother pass per
+    RIDGE_GCV_PARTS_PER_PASS parts, whose windows stay within a split,
+    smooths every split onto its part's observed grid points; each split is
+    then one column of its part's ridge input. A split that cannot be
+    smoothed anywhere is left out.
+
+    Raises NotEstimableError when the dataset has no complete curve.
+    """
+    batch = _SplitBatch(dataset, observed, margin_fraction)
+    results: list = [None] * len(observed)
+    parts = []  # (part, its ridge operator, its splits)
+    for j, o_sub in enumerate(observed):
+        try:
+            if o_sub.grid_indices.size == model.grid.size:
+                raise DataError("subdomain covers the whole grid; empty complement")
+            op = model.ridge_operator_for(o_sub)
+        except FdreconError as exc:
+            results[j] = exc
+            continue
+        parts.append((j, op, np.arange(batch.bounds[j], batch.bounds[j + 1])))
+    u_miss, y_miss, g_miss = batch.miss
+    for first in range(0, len(parts), RIDGE_GCV_PARTS_PER_PASS):
+        chunk = parts[first : first + RIDGE_GCV_PARTS_PER_PASS]
+        in_chunk = np.zeros(batch.n, dtype=bool)
+        in_chunk[np.concatenate([s for _, _, s in chunk])] = True
+        u, y, group = batch.restrict(batch.obs, in_chunk)
+        local = np.cumsum(in_chunk) - 1  # a split's number among the chunk's
+        t_group = [np.repeat(local[s], op.idx.size) for _, op, s in chunk]
+        smoothed, good = _smoothed_on(
+            u, y, np.concatenate([np.tile(op.points, s.size) for _, op, s in chunk]),
+            model.bandwidths.h_x, groups=(group, np.concatenate(t_group)),
+        )
+        at = 0
+        for j, op, splits in chunk:
+            shape = (splits.size, op.idx.size)
+            block = slice(at, at + splits.size * op.idx.size)
+            at = block.stop
+            _, z0, ok = op.centred(smoothed[block].reshape(shape).T, good[block].reshape(shape).T)
+            if not ok.any():
+                results[j] = NotEstimableError("no complete curves for GCV (all splits degenerate)")
+                continue
+            points = slice(*np.searchsorted(g_miss, batch.bounds[j : j + 2]))
+            split = g_miss[points] - batch.bounds[j]
+            keep = ok[split]
+            col = (np.cumsum(ok) - 1)[split[keep]]
+            results[j] = _ridge_choice(
+                op, z0[:, ok], col, u_miss[points][keep], y_miss[points][keep], batch.n_complete
+            )
+    return results
+
+
+def _ridge_choice(op, z0, col, u_miss, y_miss, n_complete) -> tuple[float, dict]:
+    """The GCV choice of rho from the splits' inputs z0 and their pseudo-missing points.
+
+    Point i lies in the split of column col[i] of z0, and is interpolated in
+    that column alone. A split's residual is the mean square over its finite
+    residuals. The candidates' predictions stand side by side, so one
+    interpolation and two bin counts serve them all.
+    """
     trace = float(op.nu.sum())
     scale = max(trace / op.idx.size, 1e-300)
     exponents = np.linspace(*KRAUS_RHO_GRID_DECADES, KRAUS_RHO_GRID_SIZE)
     rho_candidates = [float(scale * 10.0**e) for e in exponents]
-
-    _, z0, ok = op.observe(*batch.obs, n=batch.n)
-    if not ok.any():
-        raise NotEstimableError("no complete curves for GCV (all splits degenerate)")
-    u_miss, y_miss, g_miss = batch.miss
-    keep = ok[g_miss]
-    u_miss, y_miss = u_miss[keep], y_miss[keep]
-    col = (np.cumsum(ok) - 1)[g_miss[keep]]
-    z0 = z0[:, ok]
-    m_points = model.grid.points[op.m_idx]
+    dfs = {rho: float(np.sum(op.nu / (op.nu + rho))) for rho in rho_candidates}
+    rhos = [rho for rho in rho_candidates if dfs[rho] < n_complete]
+    if not rhos:
+        return rho_candidates[-1], {"gcv": {}, "trace": trace}
+    n = z0.shape[1]
+    cols = (col + n * np.arange(len(rhos))[:, None]).ravel()
+    preds = np.concatenate([op.predict(z0, rho) for rho in rhos], axis=1)
+    resid = np.tile(y_miss, len(rhos)) - interp_columns(
+        np.tile(u_miss, len(rhos)), op.m_points, preds, cols
+    )
+    finite = np.isfinite(resid)
+    sq = np.bincount(cols[finite], resid[finite] ** 2, minlength=n * len(rhos)).reshape(-1, n)
+    count = np.bincount(cols[finite], minlength=n * len(rhos)).reshape(-1, n)
     results = {}
-    for rho in rho_candidates:
-        df = float(np.sum(op.nu / (op.nu + rho)))
-        if df >= batch.n_complete:
-            continue
-        preds = interp_columns(u_miss, m_points, op.predict(z0, rho))
-        resid = y_miss - preds[np.arange(u_miss.size), col]
-        finite = np.isfinite(resid)
-        sq = np.bincount(col[finite], resid[finite] ** 2, minlength=z0.shape[1])
-        count = np.bincount(col[finite], minlength=z0.shape[1])
-        rss = float(np.sum(sq[count > 0] / count[count > 0]))
-        results[rho] = rss / (1.0 - df / batch.n_complete) ** 2
-    if not results:
-        best = rho_candidates[-1]
-    else:
-        best = min(results, key=lambda r: (results[r], r))
+    for rho, sq_r, count_r in zip(rhos, sq, count):
+        rss = float(np.sum(sq_r[count_r > 0] / count_r[count_r > 0]))
+        results[rho] = rss / (1.0 - dfs[rho] / n_complete) ** 2
+    best = min(results, key=lambda r: (results[r], r))
     return float(best), {"gcv": results, "trace": trace}
 
 

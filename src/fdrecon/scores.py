@@ -57,7 +57,8 @@ class _Bases:
     components; ``geometry`` holds the geometry of each group and never
     decreases, so the points of one geometry form one run of a group-major
     array. With one eigensystem, ``geometry`` is None. Scores come out
-    padded with zeros to the largest truncation.
+    padded with zeros to the largest truncation; ``widths`` holds each
+    group's own.
     """
 
     def __init__(self, eigsystems, ks, n: int, geometry=None):
@@ -65,6 +66,7 @@ class _Bases:
         self.ks = [int(k) for k in ks]
         self.n, self.geometry = n, geometry
         self.k = max(self.ks, default=0)
+        self.widths = np.full(n, self.k) if geometry is None else np.array(self.ks)[geometry]
 
     @classmethod
     def of(cls, eigsys, k, n: int, geometry=None) -> "_Bases":
@@ -167,21 +169,24 @@ def _carried_to_ends(u, r, group, n, lo, hi):
     )
 
 
-def _slabs(group: np.ndarray, n: int, sizes: np.ndarray, rows: np.ndarray, values) -> np.ndarray:
+def _slabs(group: np.ndarray, n: int, sizes: np.ndarray, rows: np.ndarray, values, widths):
     """Per group, rows^T values over its points: shape (n, rows.shape[1]).
 
-    The groups of each size are stacked into one batched product, which
-    forms every group's product exactly as a call on its points (and the
-    same columns) alone does.
+    ``widths`` holds the number of leading columns of rows that belong to
+    each group; the rest stay zero. The groups of each size and width are
+    stacked into one batched product, which forms every group's product
+    exactly as a call on its points and its own columns alone does: a
+    product over columns padded to another width may round differently.
     """
     if n == 1:
         return (np.swapaxes(rows[None], 1, 2) @ values[None, :, None])[..., 0]
     out = np.zeros((n, rows.shape[1]))
     starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        at_groups = np.flatnonzero(sizes == size)
+    filled = sizes > 0
+    for size, k in sorted(set(zip(sizes[filled].tolist(), widths[filled].tolist()))):
+        at_groups = np.flatnonzero((sizes == size) & (widths == k))
         at = starts[at_groups][:, None] + np.arange(size)
-        out[at_groups] = (np.swapaxes(rows[at], 1, 2) @ values[at][..., None])[..., 0]
+        out[at_groups, :k] = (np.swapaxes(rows[at, :k], 1, 2) @ values[at][..., None])[..., 0]
     return out
 
 
@@ -216,7 +221,7 @@ def _integral_batch(u, resid, group, n, eigsys, k, quadrature, carry_to_ends, ge
         order = np.argsort(gg, kind="stable")
         uu, terms, gg = uu[order], terms[order], gg[order]
     sizes = np.bincount(gg, minlength=n)
-    return _slabs(gg, n, sizes, bases.phi_at(uu, gg), terms), sizes == 0
+    return _slabs(gg, n, sizes, bases.phi_at(uu, gg), terms, bases.widths), sizes == 0
 
 
 def integral_scores(
@@ -352,7 +357,7 @@ def _ce_batch(u, y, group, n, eigsys, sigma2, mean, k, geometry=None):
             (("jitter applied",) if jit else ())
             + ((f"ill-conditioned (cond~{c:.2e})",) if c > CONDITION_FLAG_THRESHOLD else ())
         )
-    values = bases.eigenvalues() * _slabs(group, n, sizes, phi_k, sol)
+    values = bases.eigenvalues() * _slabs(group, n, sizes, phi_k, sol, bases.widths)
     return values, flags, errors
 
 

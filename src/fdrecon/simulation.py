@@ -16,7 +16,7 @@ from .reconstruct import (
     curve_subdomain,
     fit_reconstruction_model,
     reconstruct_with_method,
-    select_kraus_ridge_gcv,
+    select_kraus_ridge_gcv_many,
     select_truncations_gcv_many,
 )
 from .smoothing import Bandwidths
@@ -263,11 +263,11 @@ def _reconstruct_rep(
             failures[m] = [f"rep {rep}: model fit failed: {exc}"] * config.n_targets
         return out, failures, targets.truth
 
-    # One GCV pass selects K for every truncation method and distinct target geometry.
+    # One GCV call per tuning selects it for every method and distinct target geometry.
     observed = [curve_subdomain(curve, grid) for curve in targets.curves]
     parts = {o_sub.key(): o_sub for o_sub in observed}
+    selection: dict = {key: {} for key in parts}
     truncation = [m for m in methods if m != "kraus"]
-    selection: dict = {}
     if truncation:
         try:
             chosen = select_truncations_gcv_many(
@@ -280,24 +280,26 @@ def _reconstruct_rep(
             )
         except FdreconError as exc:
             chosen = [dict.fromkeys(truncation, exc)] * len(parts)
-        selection = dict(zip(parts, chosen))
-    ridge: dict = {}
+        for key, selected in zip(parts, chosen):
+            selection[key].update(selected)
+    if "kraus" in methods:
+        try:
+            ridges = select_kraus_ridge_gcv_many(
+                model, dataset, list(parts.values()), margin_fraction=margin_fraction
+            )
+        except FdreconError as exc:
+            ridges = [exc] * len(parts)
+        for key, ridge in zip(parts, ridges):
+            selection[key]["kraus"] = ridge
     for t, (curve, o_sub) in enumerate(zip(targets.curves, observed)):
-        bin_key = o_sub.key()
         for m in methods:
             try:
+                selected = selection[o_sub.key()][m]
+                if isinstance(selected, FdreconError):
+                    raise selected
                 if m == "kraus":
-                    rho = ridge.get(bin_key)
-                    if rho is None:
-                        rho, _ = select_kraus_ridge_gcv(
-                            model, dataset, o_sub.complement(grid), margin_fraction=margin_fraction
-                        )
-                        ridge[bin_key] = rho
-                    rec = reconstruct_with_method(m, curve, model, rho=rho, dataset=dataset)
+                    rec = reconstruct_with_method(m, curve, model, rho=selected[0], dataset=dataset)
                 else:
-                    selected = selection[bin_key][m]
-                    if isinstance(selected, FdreconError):
-                        raise selected
                     rec = reconstruct_with_method(
                         m, curve, model, k=selected[0], quadrature=quadrature
                     )

@@ -360,32 +360,44 @@ def llk_covariance(
     # curve, with factors a_j(r) and b_l(q) at cell (r, q), is
     # sum_j a_j(r) B_j(q): B_j sums b over the observations of j's curve
     # before j and after j, so no j = l term enters. The sums run along
-    # each curve's observations, padded with an empty slot at both ends.
+    # each curve's observations, padded with an empty slot at both ends;
+    # every moment with the same right factor b shares them.
     rows, cols, d, w = _kernel_weights(u, grid.points, h_gamma)
     Wa = sparse.csr_array((w, cols, np.searchsorted(rows, np.arange(L + 1))), shape=(L, N))
 
-    def moment(a, b):
+    def moments(b, *lefts):
         padded = np.zeros((sizes.size, sizes.max() + 2, L))
         padded[curve[cols], slot[cols] + 1, rows] = b
         others = np.cumsum(padded, axis=1)[curve, slot]
         others += np.cumsum(padded[:, ::-1], axis=1)[:, ::-1][curve, slot + 2]
-        Wa.data = a
-        return Wa @ others
+        out = []
+        for a in lefts:
+            Wa.data = a
+            out.append(Wa @ others)
+        return out
 
     positive = (w > 0).astype(float)
-    counts = np.rint(moment(positive, positive)).astype(np.int64)
+    (counts,) = moments(positive, positive)
+    counts = np.rint(counts).astype(np.int64)
     mask = counts >= int(min_pairs)
 
     # Batched 3x3 normal equations in the design (1, d1, d2), h-scaled so the
     # determinant test is scale free; the raw covariance is resid_j * resid_l
-    # and column i of the design is left[i](d_j) * right[i](d_l).
-    left, right, r = (1.0, d, 1.0), (1.0, 1.0, d), resid[cols]
+    # and column i of the design is left[i](d_j) * right[i](d_l), with left
+    # (1, d, 1) and right (1, 1, d). A[i, j] pairs w left[i] left[j] with
+    # w right[i] right[j], and b[i] pairs w left[i] resid with w right[i] resid.
+    wd = w * d
     A = np.empty((L, L, 3, 3))
     b = np.empty((L, L, 3))
-    for i in range(3):
-        b[..., i] = moment(w * left[i] * r, w * right[i] * r)
-        for j in range(i, 3):
-            A[..., i, j] = A[..., j, i] = moment(w * left[i] * left[j], w * right[i] * right[j])
+    A[..., 0, 0], A[..., 0, 1], A[..., 1, 1] = moments(w, w, wd, wd * d)
+    A[..., 0, 2], A[..., 1, 2] = moments(wd, w, wd)
+    (A[..., 2, 2],) = moments(wd * d, w)
+    wr, wdr = w * resid[cols], wd * resid[cols]
+    del wd  # each factor holds one value per pair: keep few alive
+    b[..., 0], b[..., 1] = moments(wr, wr, wdr)
+    (b[..., 2],) = moments(wdr, wr)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        A[..., j, i] = A[..., i, j]
     s00, t00 = A[..., 0, 0], b[..., 0]
     surface = np.full((L, L), np.nan)
     det = np.linalg.det(A)

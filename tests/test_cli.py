@@ -144,6 +144,113 @@ class TestReconstruct:
         assert code == 2
 
 
+def make_dense_input(tmp_path, seed=3, n=40, m=60):
+    """Every second curve misses its start, its end or both: n // 2 partial curves."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for i in range(n):
+        a, b = 0.0, 1.0
+        if i % 2:
+            side = rng.integers(3)
+            a = rng.uniform(0.11, 0.25) if side != 1 else a
+            b = rng.uniform(0.75, 0.89) if side != 0 else b
+        u = np.sort(rng.uniform(a, b, m))
+        if i % 2 == 0:
+            u[0], u[-1] = 0.0, 1.0
+        z = rng.normal(size=3)
+        y = z[0] + z[1] * np.sin(np.pi * u) + 0.5 * z[2] * np.cos(2 * np.pi * u)
+        curves.append(Curve(f"c{i:03d}", u, y + 0.05 * rng.normal(size=m)))
+    path = tmp_path / "dense.csv"
+    write_dataset_csv(build_dataset(curves, domain=(0, 1)), path)
+    return path
+
+
+class TestTuneEveryTargetOnce:
+    """reconstruct tunes every target in one GCV call before reconstructing any."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        seen = {"calls": [], "tuning": {}}
+
+        def wrap(name):
+            real = getattr(cli, name)
+
+            def spy(*args, **kwargs):
+                result = real(*args, **kwargs)
+                seen["calls"].append((name, len(args[-1])))  # the observed parts
+                seen["results"] = result
+                return result
+
+            monkeypatch.setattr(cli, name, spy)
+
+        wrap("select_truncations_gcv_many")
+        wrap("select_kraus_ridge_gcv_many")
+        real = cli.reconstruct_with_method
+
+        def reconstruct(method, curve, model, k=None, rho=None, **kwargs):
+            seen["tuning"][curve.id] = k if rho is None else rho
+            seen["model"] = model
+            return real(method, curve, model, k=k, rho=rho, **kwargs)
+
+        monkeypatch.setattr(cli, "reconstruct_with_method", reconstruct)
+        return seen
+
+    @pytest.mark.parametrize("method", ["ayesce", "ano", "kraus"])
+    def test_each_target_tuned_as_alone(self, tmp_path, spies, capsys, method):
+        from fdrecon.reconstruct import (
+            curve_subdomain,
+            select_kraus_ridge_gcv,
+            select_truncation_gcv,
+            GCV_PARTS_PER_PASS,
+        )
+
+        inp = make_dense_input(tmp_path)
+        args = ["--input", str(inp), "--method", method, *FIT_FLAGS]
+        code = main(["reconstruct", "--out-dir", str(tmp_path / "rec"), *args])
+        assert code == 0
+        model = spies["model"]
+        dataset = model.dataset
+        targets = sorted(spies["tuning"])
+        assert len(targets) > GCV_PARTS_PER_PASS  # more than one pass
+        # One call for all targets, over their distinct geometries.
+        assert spies["calls"] == [(spies["calls"][0][0], len(targets))]
+        capsys.readouterr()
+        for cid in targets:
+            curve = dataset.curve(cid)
+            target_m = curve_subdomain(curve, model.grid).complement(model.grid)
+            if method == "kraus":
+                choice, details = select_kraus_ridge_gcv(model, dataset, target_m)
+                table = [f"{cli._num(r)},{cli._num(g)}" for r, g in sorted(details["gcv"].items())]
+            else:
+                choice, details = select_truncation_gcv(method, model, dataset, target_m)
+                table = [f"{k},{cli._num(details['gcv'][k])},{cli._num(details['rss'][k])}"
+                         for k in details["candidates"]]
+            assert spies["tuning"][cid] == choice
+            # gcv-report prints the table the reconstruction used, bit for bit.
+            assert main(["gcv-report", "--curve-id", cid, *args]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[1:-1] == table
+            assert printed[-1].endswith(f"={cli._num(choice) if method == 'kraus' else choice}")
+
+    @pytest.mark.parametrize("method", ["ayesce", "kraus"])
+    def test_failed_tuning_raises_at_its_target(self, tmp_path, capsys, method):
+        # c000 covers the whole grid, so its GCV has no missing part to
+        # predict; c002's observations lie between two grid points.
+        inp = make_dense_input(tmp_path)
+        text = inp.read_text() + "c999,0.0101,1.0\nc999,0.0102,1.1\n"
+        inp.write_text(text)
+        out = tmp_path / "rec"
+        for bad, message in (("c000", "subdomain covers the whole grid"), ("c999", "no grid points inside")):
+            code = main([
+                "reconstruct", "--input", str(inp), "--out-dir", str(out / bad),
+                "--method", method, "--curve-id", "c001", "--curve-id", bad,
+                "--curve-id", "c003", *FIT_FLAGS,
+            ])
+            assert code == 1
+            assert message in capsys.readouterr().err
+            assert sorted(p.name for p in (out / bad).glob("*.csv")) == [f"recon_c001_{method}.csv"]
+
+
 class TestSimulate:
     def test_byte_identical_reruns_any_threads(self, tmp_path):
         args = [
@@ -173,6 +280,14 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[1] == "Method,MSE_ratio,MSE,Bias2,Var"
         assert lines[2].startswith("ano,1.0,")
+
+
+def test_num_formats_finite_values_and_blanks_the_rest():
+    assert cli._num(0.1) == "0.1"
+    assert cli._num(np.float64(1e-300)) == "1e-300"
+    assert cli._num(-2) == "-2.0"
+    for x in (float("nan"), np.nan, np.inf, -np.inf, None):
+        assert cli._num(x) == ""
 
 
 class TestGcvReport:

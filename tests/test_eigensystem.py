@@ -242,6 +242,10 @@ class TestInterpColumns:
             ref = np.interp(u, xp, fp[:, j])
             np.testing.assert_array_equal(got[:, j], ref)
         np.testing.assert_array_equal(interp_columns(0.3, xp[:1], fp[:1]), fp[:1])
+        # Each point in its own column: the same values.
+        col = rng.integers(0, fp.shape[1], u.size)
+        np.testing.assert_array_equal(interp_columns(u, xp, fp, col), got[np.arange(u.size), col])
+        np.testing.assert_array_equal(interp_columns(u[:3], xp[:1], fp[:1], col[:3]), fp[0, col[:3]])
 
 
 LEGENDRE = [

@@ -673,6 +673,21 @@ def reference_ridge_gcv(model, dataset, target_m, margin_fraction=0.1):
     return float(best), {"gcv": results, "trace": trace}
 
 
+def reference_ridge_gcv_many(model, dataset, observed, margin_fraction=0.1):
+    """``reference_ridge_gcv`` once per observed part, on its complement; an error is returned."""
+    from fdrecon import FdreconError
+
+    results = []
+    for o_sub in observed:
+        try:
+            results.append(
+                reference_ridge_gcv(model, dataset, o_sub.complement(model.grid), margin_fraction)
+            )
+        except FdreconError as exc:
+            results.append(exc)
+    return results
+
+
 def assert_same_selection(got, want):
     """Equal choice, counts and error types; tables to 1e-13 relative."""
     from fdrecon import FdreconError
@@ -834,7 +849,7 @@ class TestGcvReferenceOracles:
         methods = ["ano", "ayes", "anoce", "ayesce", "kraus"]
         report = run_study(cfg, methods)
         monkeypatch.setattr(simulation, "select_truncations_gcv_many", reference_truncations_gcv_many)
-        monkeypatch.setattr(simulation, "select_kraus_ridge_gcv", reference_ridge_gcv)
+        monkeypatch.setattr(simulation, "select_kraus_ridge_gcv_many", reference_ridge_gcv_many)
         want = run_study(cfg, methods)
         assert report.rows == want.rows
         drop = lambda meta: {k: v for k, v in meta.items() if k != "runtime_s"}  # noqa: E731
@@ -850,20 +865,57 @@ def distinct_target_parts(model, targets):
     return list(parts.values())
 
 
+def assert_identical(got, want):
+    """The same (choice, details) bit for bit, or errors of one type and message."""
+    from fdrecon import FdreconError
+
+    if isinstance(want, FdreconError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
 def assert_many_matches_one_geometry_calls(model, ds, observed, **kwargs):
-    """Each part's result equals the one-geometry call and the reference loop."""
-    from fdrecon.reconstruct import select_truncations_gcv, select_truncations_gcv_many
+    """Each part's result equals its call alone bit for bit, and the reference loop.
+
+    The one-geometry functions take the part's complement, whose own
+    complement snaps an interval end within 1e-9 of a grid point to that
+    point; where that moves an end, they are compared to the tables'
+    tolerance. Without truncation options the ridge GCV is checked against
+    its calls alone too (its one-part case meets the reference loop in
+    ``assert_gcv_matches_reference``).
+    """
+    from fdrecon import FdreconError
+    from fdrecon.reconstruct import (
+        select_kraus_ridge_gcv_many,
+        select_truncations_gcv,
+        select_truncations_gcv_many,
+    )
+
+    def outcome(select, *args):
+        try:
+            return select(*args)
+        except FdreconError as exc:
+            return exc
 
     got = select_truncations_gcv_many(GCV_METHODS, model, ds, observed, **kwargs)
+    ridges = None if kwargs else select_kraus_ridge_gcv_many(model, ds, observed)
     assert len(got) == len(observed)
-    for o_sub, many in zip(observed, got):
+    for j, (o_sub, many) in enumerate(zip(observed, got)):
+        (alone,) = select_truncations_gcv_many(GCV_METHODS, model, ds, [o_sub], **kwargs)
         target_m = o_sub.complement(model.grid)
+        same_part = target_m.complement(model.grid).key() == o_sub.key()
         one = select_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
         want = reference_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
-        assert list(many) == list(one) == list(want) == GCV_METHODS
+        assert list(many) == list(alone) == list(one) == list(want) == GCV_METHODS
         for method in GCV_METHODS:
-            assert_same_selection(many[method], one[method])
+            assert_identical(many[method], alone[method])
+            (assert_identical if same_part else assert_same_selection)(many[method], one[method])
             assert_same_selection(many[method], want[method])
+        if ridges is not None:
+            assert_identical(ridges[j], select_kraus_ridge_gcv_many(model, ds, [o_sub])[0])
+            one_ridge = outcome(select_kraus_ridge_gcv, model, ds, target_m)
+            (assert_identical if same_part else assert_same_selection)(ridges[j], one_ridge)
     return got
 
 
@@ -901,6 +953,7 @@ class TestManyGeometryGcv:
         observed = [Subdomain.from_interval(model.grid, 0.0, b) for b in (0.5, 0.61, 0.7, 0.83)]
         observed.append(Subdomain.from_interval(model.grid, 0.4123, 0.6042).complement(model.grid))
         monkeypatch.setattr(reconstruct, "GCV_PARTS_PER_PASS", 2)
+        monkeypatch.setattr(reconstruct, "RIDGE_GCV_PARTS_PER_PASS", 2)
         assert_many_matches_one_geometry_calls(model, ds, observed)
 
     def test_non_estimable_part_leaves_the_others(self):
@@ -967,16 +1020,59 @@ class TestManyGeometryGcv:
         seen = {}
         real = simulation.reconstruct_with_method
 
-        def spy(method, curve, model, k=None, **kwargs):
-            seen[method, curve.id] = (k, model)
-            return real(method, curve, model, k=k, **kwargs)
+        def spy(method, curve, model, k=None, rho=None, **kwargs):
+            seen[method, curve.id] = (k if rho is None else rho, model)
+            return real(method, curve, model, k=k, rho=rho, **kwargs)
 
         monkeypatch.setattr(simulation, "reconstruct_with_method", spy)
-        run_study(cfg, ["ano", "ayesce"])
+        run_study(cfg, ["ano", "ayesce", "kraus"])
         ds, targets = generate_dgp(cfg, 0)
         for curve in targets.curves:
-            for method in ("ano", "ayesce"):
-                k, model = seen[method, curve.id]
+            for method in ("ano", "ayesce", "kraus"):
+                tuning, model = seen[method, curve.id]
                 target_m = curve_subdomain(curve, model.grid).complement(model.grid)
-                assert k == select_truncation_gcv(method, model, ds, target_m)[0]
-        assert len({k for k, _ in seen.values()}) > 1
+                if method == "kraus":
+                    assert tuning == select_kraus_ridge_gcv(model, ds, target_m)[0]
+                else:
+                    assert tuning == select_truncation_gcv(method, model, ds, target_m)[0]
+        assert len({k for (m, _), (k, _) in seen.items() if m != "kraus"}) > 1
+        assert len({rho for (m, _), (rho, _) in seen.items() if m == "kraus"}) > 1
+
+    def test_run_study_selects_rho_once_per_replication(self, monkeypatch):
+        from fdrecon import DgpConfig, run_study, simulation
+
+        cfg = DgpConfig(dgp=3, n=40, seed=8, replications=2, n_targets=15)
+        calls = []
+        real = simulation.select_kraus_ridge_gcv_many
+
+        def spy(model, dataset, observed, **kwargs):
+            calls.append(len(observed))
+            return real(model, dataset, observed, **kwargs)
+
+        monkeypatch.setattr(simulation, "select_kraus_ridge_gcv_many", spy)
+        run_study(cfg, ["kraus"])
+        assert len(calls) == 2 and 1 < calls[0] < 15
+
+    def test_kraus_reconstruction_reuses_the_gcv_operator(self, monkeypatch):
+        from fdrecon import DgpConfig, generate_dgp, reconstruct
+        from fdrecon.reconstruct import select_kraus_ridge_gcv_many
+
+        cfg = DgpConfig(dgp=1, n=40, m=15, seed=12, replications=1, n_targets=6)
+        ds, targets = generate_dgp(cfg, 0)
+        model = fit_reconstruction_model(ds)
+        observed = distinct_target_parts(model, targets)
+        chosen = select_kraus_ridge_gcv_many(model, ds, observed)
+        built = []
+        real = reconstruct._RidgeOperator.__init__
+
+        def init(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(reconstruct._RidgeOperator, "__init__", init)
+        fresh = fit_reconstruction_model(ds)
+        for curve, (rho, _) in zip(targets.curves, chosen):
+            rec = reconstruct_with_method("kraus", curve, model, rho=rho)
+            want = reconstruct_with_method("kraus", curve, fresh, rho=rho)
+            np.testing.assert_array_equal(rec.values, want.values)
+        assert len(built) == len(observed)  # the fresh model's operators only

@@ -329,6 +329,54 @@ def _covariance_oracle(ds, mean, h, min_pairs):
     return surface, mask, counts, n_fallback
 
 
+def _covariance_ten_passes(ds, mean, grid, h, min_pairs):
+    """llk_covariance with one prefix-sum pass per moment: ten passes, the reference.
+
+    Returns (surface, mask, n_fallback).
+    """
+    from scipy import sparse
+
+    from fdrecon.smoothing import _kernel_weights
+
+    sizes = np.array([c.n_obs for c in ds.curves])
+    u = ds.pooled_u()
+    resid = ds.pooled_y() - mean.at(u)
+    L, N = grid.size, u.size
+    curve = np.repeat(np.arange(sizes.size), sizes)
+    slot = np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows, cols, d, w = _kernel_weights(u, grid.points, h)
+    Wa = sparse.csr_array((w, cols, np.searchsorted(rows, np.arange(L + 1))), shape=(L, N))
+
+    def moment(a, b):
+        padded = np.zeros((sizes.size, sizes.max() + 2, L))
+        padded[curve[cols], slot[cols] + 1, rows] = b
+        others = np.cumsum(padded, axis=1)[curve, slot]
+        others += np.cumsum(padded[:, ::-1], axis=1)[:, ::-1][curve, slot + 2]
+        Wa.data = a
+        return Wa @ others
+
+    positive = (w > 0).astype(float)
+    mask = np.rint(moment(positive, positive)).astype(np.int64) >= int(min_pairs)
+    left, right, r = (1.0, d, 1.0), (1.0, 1.0, d), resid[cols]
+    A = np.empty((L, L, 3, 3))
+    b = np.empty((L, L, 3))
+    for i in range(3):
+        b[..., i] = moment(w * left[i] * r, w * right[i] * r)
+        for j in range(i, 3):
+            A[..., i, j] = A[..., j, i] = moment(w * left[i] * left[j], w * right[i] * right[j])
+    s00, t00 = A[..., 0, 0], b[..., 0]
+    surface = np.full((L, L), np.nan)
+    solvable = mask & (np.abs(np.linalg.det(A)) > 1e-10 * np.maximum(s00, 1e-300) ** 3)
+    surface[solvable] = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0, 0]
+    fallback = mask & ~solvable
+    surface[fallback] = t00[fallback] / s00[fallback]
+    mask &= mask.T
+    with np.errstate(invalid="ignore"):
+        surface = 0.5 * (surface + surface.T)
+    surface[~mask] = np.nan
+    return surface, mask, int(fallback.sum())
+
+
 def _noise_pairs_oracle(ds, mean, h_t):
     """All within-curve pairs closer than h_t as (midpoint, gap, half squared difference)."""
     s, t, d = [], [], []
@@ -451,6 +499,34 @@ class TestBruteForceOracles:
         mean = llk_mean(ds, ds.grid, 0.3)
         _, n_fallback = self._assert_covariance_matches(ds, mean, 0.15)
         assert n_fallback > 0
+
+    @pytest.mark.parametrize("source", ["dgp1", "dgp2", "dgp3", "dgp4", "dense", "fragments"])
+    def test_covariance_equals_the_ten_pass_reference(self, source):
+        # One prefix-sum pass per distinct right factor forms every moment as
+        # its own pass does, so the surface is the same bit for bit.
+        from fdrecon import DgpConfig, generate_dgp
+
+        rng = np.random.default_rng(38)
+        if source.startswith("dgp"):
+            dgp = int(source[-1])
+            cfg = DgpConfig(dgp=dgp, n=50, m=15 if dgp in (1, 2) else None, seed=dgp, replications=1)
+            ds, _ = generate_dgp(cfg, 0)
+        else:
+            curves = []
+            for i in range(40):
+                a = rng.uniform(0, 0.6) if source == "fragments" else rng.uniform(0, 0.25) * (i % 2)
+                b = a + 0.4 if source == "fragments" else 1.0 - rng.uniform(0, 0.25) * (i % 2)
+                u = np.sort(rng.uniform(a, b, 15 if source == "fragments" else 60))
+                curves.append(Curve(f"c{i}", u, np.sin(3 * u) * rng.normal() + 0.05 * rng.normal(size=u.size)))
+            ds = build_dataset(curves)
+        bw = Bandwidths.rule_of_thumb(ds)
+        mean = llk_mean(ds, ds.grid, bw.h_mu)
+        cov = llk_covariance(ds, mean, ds.grid, bw.h_gamma)
+        surface, mask, n_fallback = _covariance_ten_passes(ds, mean, ds.grid, bw.h_gamma, 5)
+        np.testing.assert_array_equal(cov.mask, mask)
+        np.testing.assert_array_equal(cov.surface, surface)
+        assert cov.diagnostics["n_fallback"] == n_fallback
+        assert source != "fragments" or not mask.all()
 
     def test_noise_variance_target_by_target(self):
         # Curves of two points 0.02 apart on [0.1, 0.5] give targets there a
