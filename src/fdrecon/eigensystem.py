@@ -34,7 +34,7 @@ class Subdomain:
         idx = np.asarray(self.grid_indices, dtype=int)
         if idx.size == 0:
             raise DataError("subdomain has no grid points")
-        if np.any(np.diff(idx) <= 0):
+        if (idx[1:] <= idx[:-1]).any():
             raise DataError("subdomain grid indices must be strictly increasing")
         object.__setattr__(self, "grid_indices", idx)
         ivals = tuple((float(a), float(b)) for a, b in self.intervals)
@@ -177,7 +177,7 @@ def interp_columns(u, xp: np.ndarray, fp: np.ndarray, col=None) -> np.ndarray:
 
 
 def _contiguous_blocks(idx: np.ndarray) -> list[np.ndarray]:
-    edges = [0, *(np.flatnonzero(np.diff(idx) > 1) + 1).tolist(), idx.size]
+    edges = [0, *(np.nonzero(idx[1:] - idx[:-1] > 1)[0] + 1).tolist(), idx.size]
     return [idx[a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 

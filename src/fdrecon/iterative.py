@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,6 +15,7 @@ from .reconstruct import (
     PROV_NON_ESTIMABLE,
     ReconstructedCurve,
     ReconstructionModel,
+    _Anchor,
     _aligned_values,
     reconstruct_with_method,
 )
@@ -79,8 +81,8 @@ def _choose_next_rows(
     bad = ~np.asarray(mask, dtype=bool)
     square = np.zeros((L + 1, L + 1), dtype=np.int64)
     square[1:, 1:] = bad.cumsum(axis=0).cumsum(axis=1)
-    rows = np.zeros((L - covered.sum(), L + 1), dtype=np.int64)
-    rows[:, 1:] = bad[~covered].cumsum(axis=1)
+    uncovered = np.nonzero(~covered)[0]
+    rows = square[uncovered + 1] - square[uncovered]
     in_band = square[b, b] - square[a, b] - square[b, a] + square[a, a] == 0
     n_new = np.count_nonzero(rows[:, b] == rows[:, a], axis=0)
 
@@ -90,13 +92,15 @@ def _choose_next_rows(
     key *= in_band & (n_new > 0)
     if not key.any():
         return None
-    best = int(np.argmax(key))
+    best = int(key.argmax())
     return np.arange(a[best], b[best])
 
 
 def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of every run of True in a boolean vector."""
-    step = np.diff(np.concatenate([[0], flags.astype(np.int8), [0]]))
+    padded = np.zeros(flags.size + 2, dtype=np.int8)
+    padded[1:-1] = flags
+    step = padded[1:] - padded[:-1]
     return np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
 
 
@@ -149,26 +153,58 @@ def _edge_values(values_on_sub: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
     return values_on_sub[..., edges].T
 
 
-def _reconstruct_from_grid(
-    values_on_sub: np.ndarray,
-    eigsys: EigenSystem,
-    model: ReconstructionModel,
-    method: str,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion values on all estimable rows from a gridded pseudo-observation.
+# A later step: its subdomain and eigensystem, the estimable rows idx it
+# evaluates, the rows it newly covers at positions pos of idx, and its
+# aligned anchors per truncation.
+_Step = namedtuple("_Step", "r subdomain eigsys idx new pos anchors")
 
-    Conditional-expectation scores are meaningless for reconstructed grid
-    values, so later steps always use quadrature scores.
+
+def _completion_plan(model: ReconstructionModel, covered: np.ndarray, plan: IterationPlan):
+    """(steps, stalled_at, final coverage) of the later steps from a first-step coverage.
+
+    They depend on the coverage, the mask and the plan, never on a curve's values,
+    so they are cached on the model; a plan whose building raises leaves no entry.
     """
-    k_use = min(int(k), eigsys.k_available)
-    xi = _grid_scores(values_on_sub, eigsys, model.mean)[:k_use]
-    idx = np.nonzero(_estimable_rows(eigsys))[0]
-    if method.startswith("ayes"):
-        vals = _aligned_values(eigsys, model.mean, idx, _edge_values(values_on_sub, eigsys), xi)
-    else:
-        vals = model.mean.values[idx] + (eigsys.extrapolated[idx, :k_use] @ xi if k_use else 0.0)
-    return vals, idx
+    explicit = None if plan.steps is None else tuple(s.key() for s in plan.steps)
+    key = (covered.tobytes(), plan.r_max, plan.strategy, explicit)
+    if key in model._plan_cache:
+        return model._plan_cache[key]
+    grid = model.grid
+    covered = covered.copy()
+    steps: list[_Step] = []
+    stalled_at = 0
+    r = 1
+    while r < plan.r_max and not covered.all():
+        r += 1
+        if plan.steps is not None:
+            if r - 2 >= len(plan.steps):
+                break
+            # Later steps observe gridded values only, so their subdomain is
+            # the grid points it holds.
+            o_r = Subdomain.from_indices(grid, plan.steps[r - 2].grid_indices)
+            if not np.all(covered[o_r.grid_indices]):
+                raise UsageError(f"step {r} subdomain is not inside the current coverage")
+        else:
+            coverage = Subdomain.from_indices(grid, np.nonzero(covered)[0])
+            o_r = choose_next_interval(coverage, model.cov.mask, plan.strategy, r, grid)
+            if o_r is None:
+                stalled_at = r
+                break
+        try:
+            eigsys = model.eigensystem_for(o_r)
+        except (NotEstimableError, DataError):
+            stalled_at = r
+            break
+        idx = np.nonzero(_estimable_rows(eigsys))[0]
+        new = idx[~covered[idx]]
+        if new.size == 0:
+            stalled_at = r
+            break
+        covered[new] = True
+        steps.append(_Step(r, o_r, eigsys, idx, new, np.searchsorted(idx, new), {}))
+    covered.flags.writeable = False
+    model._plan_cache[key] = tuple(steps), stalled_at, covered
+    return model._plan_cache[key]
 
 
 def iterative_reconstruct(
@@ -187,62 +223,45 @@ def iterative_reconstruct(
     pseudo-observation and extends the coverage; already covered points are
     never refit. Stops at full coverage, the step cap, or when no step
     enlarges the coverage (flagged as stalled).
+
+    The later steps are planned once per first-step coverage and cached on
+    the model: every curve reconstructed on it whose first step covers the
+    same points shares their windows, eigensystems and anchors. A curve
+    whose coverage no other curve shares pays for the whole planning.
     """
     if method not in ("ano", "anoce", "ayes", "ayesce"):
         raise UsageError(
             f"iterative reconstruction supports ano/anoce/ayes/ayesce, got {method!r}"
         )
-    grid = model.grid
     first = reconstruct_with_method(method, curve, model, k=k, quadrature=quadrature)
     values = first.values.copy()
     provenance = first.provenance.copy()
-    covered = provenance >= 0
-    steps_used: list[tuple] = []
-    stalled_at = 0
-
-    r = 1
-    while r < plan.r_max and not covered.all():
-        r += 1
-        if plan.steps is not None:
-            if r - 2 >= len(plan.steps):
-                break
-            # Later steps observe gridded values only, so their subdomain is
-            # the grid points it holds.
-            o_r = Subdomain.from_indices(grid, plan.steps[r - 2].grid_indices)
-            if not np.all(covered[o_r.grid_indices]):
-                raise UsageError(f"step {r} subdomain is not inside the current coverage")
+    steps, stalled_at, covered = _completion_plan(model, provenance >= 0, plan)
+    for step in steps:
+        # Conditional-expectation scores are meaningless for reconstructed
+        # grid values, so later steps always use quadrature scores.
+        eigsys, idx = step.eigsys, step.idx
+        on_sub = values[step.subdomain.grid_indices]
+        k_use = min(int(k), eigsys.k_available)
+        xi = _grid_scores(on_sub, eigsys, model.mean)[:k_use]
+        if method.startswith("ayes"):
+            if k_use not in step.anchors:
+                step.anchors[k_use] = _Anchor(eigsys, model.mean, model.grid.points[idx], k_use)
+            x_ends = _edge_values(on_sub, eigsys)
+            vals = _aligned_values(eigsys, model.mean, idx, x_ends, xi, step.anchors[k_use])
         else:
-            rows = _choose_next_rows(covered, model.cov.mask, plan.strategy, r)
-            if rows is None:
-                stalled_at = r
-                break
-            o_r = Subdomain.from_indices(grid, rows)
-        try:
-            eigsys = model.eigensystem_for(o_r)
-        except (NotEstimableError, DataError):
-            stalled_at = r
-            break
-        vals, idx = _reconstruct_from_grid(values[o_r.grid_indices], eigsys, model, method, k)
-        new = idx[~covered[idx]]
-        if new.size == 0:
-            stalled_at = r
-            break
-        pos = np.searchsorted(idx, new)
-        values[new] = vals[pos]
-        provenance[new] = r
-        covered[new] = True
-        steps_used.append(o_r.key())
-
+            vals = model.mean.values[idx] + (eigsys.extrapolated[idx, :k_use] @ xi if k_use else 0.0)
+        values[step.new] = vals[step.pos]
+        provenance[step.new] = step.r
     values[~covered] = np.nan
     provenance[~covered] = PROV_NON_ESTIMABLE
     diag = dict(first.diagnostics)
-    diag.update(
-        {"steps": steps_used, "stalled_at": stalled_at, "coverage": float(covered.mean())}
-    )
+    steps_used = [step.subdomain.key() for step in steps]
+    diag.update({"steps": steps_used, "stalled_at": stalled_at, "coverage": float(covered.mean())})
     if stalled_at:
         diag["warning"] = f"coverage stalled at r={stalled_at}"
     return ReconstructedCurve(
-        curve.id, grid, values, provenance, first.k_used, f"{method}-iterative", None, diag
+        curve.id, model.grid, values, provenance, first.k_used, f"{method}-iterative", None, diag
     )
 
 

@@ -116,9 +116,12 @@ class ReconstructedCurve:
 
 @dataclass
 class ReconstructionModel:
-    """Fitted mean, covariance, noise variance and cached eigensystems.
+    """Fitted mean, covariance, noise variance and the caches built from them.
 
     The reusable artifact: fit once on a sample, then reconstruct any curve.
+    The model caches eigensystems per subdomain, ridge operators per
+    observed part and iterative completion plans per first-step coverage,
+    so curves reconstructed on one model share that work.
     """
 
     mean: MeanEstimate
@@ -129,6 +132,7 @@ class ReconstructionModel:
     lambda_rel_floor: float = DEFAULT_LAMBDA_REL_FLOOR
     _eig_cache: dict = field(default_factory=dict, repr=False)
     _ridge_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _plan_cache: dict = field(default_factory=dict, init=False, repr=False)
     _full: Subdomain | None = field(default=None, init=False, repr=False)
 
     @property
@@ -325,14 +329,16 @@ class _Anchor:
         return ax + mean_u - amu
 
 
-def _aligned_values(eigsys: EigenSystem, mean: MeanEstimate, idx, x_ends, xi) -> np.ndarray:
+def _aligned_values(eigsys: EigenSystem, mean: MeanEstimate, idx, x_ends, xi, anchor=None) -> np.ndarray:
     """The aligned expansion on the grid rows idx from the end values x_ends and scores xi.
 
     Evaluates (anchor + mean) - anchor mean + (basis - anchor basis) @ xi;
     with one column of xi and of x_ends per curve, one column per curve.
+    ``anchor``, when given, is the ``_Anchor`` at those rows for len(xi) terms.
     """
     k = xi.shape[0]
-    anchor = _Anchor(eigsys, mean, eigsys.grid.points[idx], k)
+    if anchor is None:
+        anchor = _Anchor(eigsys, mean, eigsys.grid.points[idx], k)
     contrib = (eigsys.extrapolated[idx, :k] - anchor.phi) @ xi if k else 0.0
     return anchor.shift(x_ends, mean.values[idx]) + contrib
 

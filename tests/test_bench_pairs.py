@@ -1,0 +1,56 @@
+"""The summary arithmetic of tools/bench_pairs.py."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_summary_counts_wins_spreads_and_bounds():
+    parent = [float(x) for x in range(1, 11)]
+    metrics = {
+        # lower is better; pair 4 ties, pair 8 loses
+        "t": (parent, [-5.0, -4.0, -3.0, 4.0, -1.0, 0.0, 1.0, 9.0, 3.0, 4.0]),
+        # higher is better; every pair wins by 6
+        "rate": (parent, [x + 6.0 for x in parent]),
+        # lower is better; twice the parent
+        "mem": (parent, [2.0 * x for x in parent]),
+    }
+    pairs = [
+        {side: {"metrics": {name: vals[j][i] for name, vals in metrics.items()}}
+         for j, side in enumerate(("parent", "change"))}
+        for i in range(10)
+    ]
+    pairs[0]["change"]["metrics"]["only_some"] = 1.0
+    spec = [
+        {"name": "t", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "mem", "unit": "MB", "better": "lower", "bound": 0.25},
+        {"name": "only_some", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+    out = bench_pairs.summarize(pairs, spec)
+
+    assert set(out) == {"t", "rate", "mem"}
+    # statistics.quantiles(range 1..10, n=4): 2.75 and 8.25
+    assert out["t"]["parent"] == {"median": 5.5, "q1": 2.75, "q3": 8.25}
+    assert (out["t"]["wins"], out["t"]["losses"], out["t"]["pairs"]) == (8, 1, 10)
+    assert out["t"]["change"]["median"] == 0.5
+    assert not out["t"]["gain_rule_holds"]  # 8 of 10 wins, and gap 5.0 < 5.5
+    assert not out["t"]["worse_than_bound"]
+
+    assert (out["rate"]["wins"], out["rate"]["losses"]) == (10, 0)
+    assert out["rate"]["gain_rule_holds"]  # gap 6.0 > quartile distance 5.5
+    assert out["rate"]["median_ratio"] == pytest.approx(11.5 / 5.5)
+
+    assert (out["mem"]["wins"], out["mem"]["losses"]) == (0, 10)
+    assert out["mem"]["median_ratio"] == 2.0
+    assert out["mem"]["worse_than_bound"] and not out["mem"]["gain_rule_holds"]
+
+
+def test_seed_lists_and_ranges():
+    assert bench_pairs.parse_seeds("401-404,7") == [401, 402, 403, 404, 7]

@@ -20,7 +20,14 @@ from fdrecon import (
 )
 from fdrecon import iterative
 from fdrecon.core import DomainGrid
-from fdrecon.iterative import _choose_next_rows
+from fdrecon.errors import DataError, NotEstimableError
+from fdrecon.iterative import (
+    _choose_next_rows,
+    _edge_values,
+    _estimable_rows,
+    _grid_scores,
+)
+from fdrecon.reconstruct import PROV_NON_ESTIMABLE, ReconstructedCurve, _aligned_values
 from fdrecon.simulation import DgpConfig
 
 
@@ -106,6 +113,218 @@ def reference_chooser(covered, mask, strategy, step):
     return reference_rows(covered, mask)
 
 
+def reference_from_grid(values_on_sub, eigsys, model, method, k):
+    k_use = min(int(k), eigsys.k_available)
+    xi = _grid_scores(values_on_sub, eigsys, model.mean)[:k_use]
+    idx = np.nonzero(_estimable_rows(eigsys))[0]
+    if method.startswith("ayes"):
+        vals = _aligned_values(eigsys, model.mean, idx, _edge_values(values_on_sub, eigsys), xi)
+    else:
+        vals = model.mean.values[idx] + (eigsys.extrapolated[idx, :k_use] @ xi if k_use else 0.0)
+    return vals, idx
+
+
+def reference_iterative(curve, model, method, plan, k, quadrature="riemann"):
+    """The completion as a step loop that plans every later step per curve."""
+    grid = model.grid
+    first = reconstruct_with_method(method, curve, model, k=k, quadrature=quadrature)
+    values = first.values.copy()
+    provenance = first.provenance.copy()
+    covered = provenance >= 0
+    steps_used = []
+    stalled_at = 0
+    r = 1
+    while r < plan.r_max and not covered.all():
+        r += 1
+        if plan.steps is not None:
+            if r - 2 >= len(plan.steps):
+                break
+            o_r = Subdomain.from_indices(grid, plan.steps[r - 2].grid_indices)
+            if not np.all(covered[o_r.grid_indices]):
+                raise UsageError(f"step {r} subdomain is not inside the current coverage")
+        else:
+            rows = _choose_next_rows(covered, model.cov.mask, plan.strategy, r)
+            if rows is None:
+                stalled_at = r
+                break
+            o_r = Subdomain.from_indices(grid, rows)
+        try:
+            eigsys = model.eigensystem_for(o_r)
+        except (NotEstimableError, DataError):
+            stalled_at = r
+            break
+        vals, idx = reference_from_grid(values[o_r.grid_indices], eigsys, model, method, k)
+        new = idx[~covered[idx]]
+        if new.size == 0:
+            stalled_at = r
+            break
+        pos = np.searchsorted(idx, new)
+        values[new] = vals[pos]
+        provenance[new] = r
+        covered[new] = True
+        steps_used.append(o_r.key())
+    values[~covered] = np.nan
+    provenance[~covered] = PROV_NON_ESTIMABLE
+    diag = dict(first.diagnostics)
+    diag.update({"steps": steps_used, "stalled_at": stalled_at, "coverage": float(covered.mean())})
+    if stalled_at:
+        diag["warning"] = f"coverage stalled at r={stalled_at}"
+    return ReconstructedCurve(
+        curve.id, grid, values, provenance, first.k_used, f"{method}-iterative", None, diag
+    )
+
+
+def masked_model(mask):
+    """min(u, v) + 0.05 under an arbitrary estimability mask, with a curved mean."""
+    grid = DomainGrid.regular((0, 1), mask.shape[0])
+    uu, vv = np.meshgrid(grid.points, grid.points, indexing="ij")
+    cov = CovarianceEstimate(grid, np.where(mask, np.minimum(uu, vv) + 0.05, np.nan), mask, 0.1)
+    mean = MeanEstimate.from_function(grid, lambda u: 1.0 + 0.5 * np.sin(2 * np.pi * u))
+    return ReconstructionModel(mean, cov, NoiseVariance(0.0), Bandwidths(0.1, 0.1, 0.1))
+
+
+def band_mask(halfwidth, size=51):
+    g = np.linspace(0.0, 1.0, size)
+    return np.abs(g[:, None] - g[None, :]) <= halfwidth + 1e-12
+
+
+def fragment(grid, a, b, seed, on_grid=True):
+    """A Brownian-like curve seen on [a, b], at the grid points or at 15 random points."""
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        u = grid.points[(grid.points >= a - 1e-12) & (grid.points <= b + 1e-12)]
+    else:
+        u = np.sort(rng.uniform(a, b, 15))
+    y = 1.0 + np.cumsum(rng.normal(size=u.size)) * 0.1 + np.sin(3 * u)
+    return Curve(f"c{seed}", u, y)
+
+
+def _block_mask():
+    mask = np.zeros((51, 51), bool)
+    mask[:31, :31] = mask[31:, 31:] = True
+    return mask
+
+
+def _holed_band():
+    mask = band_mask(0.5)
+    mask[17, 25] = mask[25, 17] = False
+    return mask
+
+
+# name: (mask, curves as (a, b, seed, on_grid), plan on the grid, the set of
+# (stalled_at, number of later steps) the curves end with)
+ORACLE_CASES = {
+    "greedy-band": (
+        band_mask(0.3),
+        [(0.3, 0.5, 1, True), (0.3, 0.5, 2, True), (0.0, 0.3, 3, True), (0.52, 0.78, 4, False)],
+        lambda grid: IterationPlan(r_max=8, strategy="greedy-band"),
+        {(0, 3)},
+    ),
+    "app3": (
+        band_mask(0.5),
+        [(0.0, 0.4, 1, True), (0.0, 0.4, 2, True), (0.5, 0.9, 3, True)],
+        lambda grid: IterationPlan(r_max=5, strategy="app3"),
+        {(3, 1), (2, 0)},
+    ),
+    "explicit": (
+        band_mask(0.5),
+        [(0.0, 0.4, 1, True), (0.0, 0.4, 2, True)],
+        lambda grid: IterationPlan(
+            steps=(Subdomain.from_interval(grid, 0.105, 0.5), Subdomain.from_interval(grid, 0.3, 0.6)),
+            r_max=5,
+        ),
+        {(0, 2)},
+    ),
+    "r_max=1": (band_mask(0.5), [(0.0, 0.4, 1, True)], lambda grid: IterationPlan(r_max=1), {(0, 0)}),
+    "no feasible window": (
+        _block_mask(), [(0.0, 0.4, 1, True), (0.0, 0.4, 2, True)],
+        lambda grid: IterationPlan(r_max=5), {(2, 0)},
+    ),
+    "non-estimable eigensystem": (
+        _holed_band(), [(0.0, 0.2, 1, True), (0.0, 0.2, 2, True)],
+        lambda grid: IterationPlan(steps=(Subdomain.from_interval(grid, 0.3, 0.5),), r_max=5),
+        {(2, 0)},
+    ),
+}
+
+
+class TestPlanOracle:
+    """Cached completion plans against the step loop that plans every curve."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_equal_to_step_loop(self, case):
+        mask, intervals, make_plan, outcomes = ORACLE_CASES[case]
+        model, ref_model = masked_model(mask), masked_model(mask)
+        plan = make_plan(model.grid)
+        curves = [fragment(model.grid, *spec) for spec in intervals]
+        seen = set()
+        for k in (1, 2, 3):
+            for method in ("ano", "ayes", "anoce", "ayesce"):
+                for curve in curves:
+                    got = iterative_reconstruct(curve, model, method, plan, k, quadrature="trapezoid")
+                    want = reference_iterative(curve, ref_model, method, plan, k, quadrature="trapezoid")
+                    assert np.array_equal(got.values, want.values, equal_nan=True)
+                    assert np.array_equal(got.provenance, want.provenance)
+                    assert got.diagnostics == want.diagnostics
+                    assert (got.method, got.k_used) == (want.method, want.k_used)
+                    seen.add((got.diagnostics["stalled_at"], len(got.diagnostics["steps"])))
+        assert seen == outcomes
+
+
+class TestPlanCache:
+    def _count_searches(self, monkeypatch):
+        calls = []
+        search = iterative.choose_next_interval
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(iterative, "choose_next_interval", counted)
+        return calls
+
+    def test_equal_coverage_searches_once_per_model(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        mask = band_mask(0.3)
+        model = masked_model(mask)
+        plan = IterationPlan(r_max=8)
+        a, b = (fragment(model.grid, 0.3, 0.5, seed) for seed in (1, 2))
+        first = iterative_reconstruct(a, model, "ayes", plan, 2)
+        n_search = len(calls)
+        assert n_search >= 2 and calls == list(range(2, 2 + n_search))
+        second = iterative_reconstruct(b, model, "ano", plan, 2)
+        assert len(calls) == n_search
+        assert first.diagnostics["steps"] == second.diagnostics["steps"]
+        assert not np.array_equal(first.values, second.values)
+        iterative_reconstruct(b, masked_model(mask), "ano", plan, 2)
+        assert len(calls) == 2 * n_search
+
+    def test_plan_key_separates_plans(self):
+        # One curve, one model, five plans: each gets its own cached plan.
+        model = masked_model(band_mask(0.3))
+        grid = model.grid
+        curve = fragment(grid, 0.3, 0.5, 1)
+        plans = [IterationPlan(r_max=8), IterationPlan(r_max=3), IterationPlan(r_max=8, strategy="app3")]
+        plans += [
+            IterationPlan(steps=(Subdomain.from_interval(grid, a, b),), r_max=8)
+            for a, b in ((0.3, 0.5), (0.4, 0.6))
+        ]
+        for plan in plans:
+            got = iterative_reconstruct(curve, model, "ano", plan, 1)
+            want = reference_iterative(curve, masked_model(band_mask(0.3)), "ano", plan, 1)
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            assert got.diagnostics == want.diagnostics
+        assert len(model._plan_cache) == len(plans)
+
+    def test_cached_plan_is_read_only(self):
+        model = masked_model(band_mask(0.3))
+        curve = fragment(model.grid, 0.3, 0.5, 1)
+        iterative_reconstruct(curve, model, "ayes", IterationPlan(r_max=8), 2)
+        ((_, _, covered),) = model._plan_cache.values()
+        with pytest.raises(ValueError):
+            covered[0] = False
+
+
 class TestWindowSearchOracle:
     def test_random_band_masks_with_holes(self):
         rng = np.random.default_rng(8)
@@ -158,17 +377,18 @@ class TestWindowSearchOracle:
 
     @pytest.mark.parametrize("method", ["ano", "ayes"])
     def test_iterative_reconstruct_unchanged(self, monkeypatch, method):
-        model = band_model(band=0.3)
-        grid = model.grid
+        # Each run gets its own model: a shared one would serve the second
+        # run the first run's cached plan, without a window search.
+        grid = band_model(band=0.3).grid
         rng = np.random.default_rng(2)
         path = np.concatenate([[1.0], 1.0 + np.cumsum(rng.normal(size=grid.size - 1) * 0.1)])
         inside = (grid.points >= 0.3 - 1e-12) & (grid.points <= 0.5 + 1e-12)
         curve = Curve("bm", grid.points[inside], path[inside])
         plan = IterationPlan(r_max=8, strategy="greedy-band")
-        got = iterative_reconstruct(curve, model, method, plan, k=2, quadrature="trapezoid")
+        got = iterative_reconstruct(curve, band_model(band=0.3), method, plan, k=2, quadrature="trapezoid")
         assert len(got.diagnostics["steps"]) >= 2
         monkeypatch.setattr(iterative, "_choose_next_rows", reference_chooser)
-        want = iterative_reconstruct(curve, model, method, plan, k=2, quadrature="trapezoid")
+        want = iterative_reconstruct(curve, band_model(band=0.3), method, plan, k=2, quadrature="trapezoid")
         assert np.array_equal(got.values, want.values, equal_nan=True)
         assert np.array_equal(got.provenance, want.provenance)
         assert got.diagnostics == want.diagnostics
@@ -291,13 +511,16 @@ class TestIterativeReconstruct:
         assert np.array_equal(a.provenance, b.provenance)
 
     def test_explicit_steps_validated(self):
+        # Errors are not cached: the second call raises too.
         model = band_model(band=0.5)
         grid = model.grid
         curve = self._bm_curve(grid)
         outside = Subdomain.from_interval(grid, 0.8, 1.0)
         plan = IterationPlan(steps=(outside,), r_max=3)
-        with pytest.raises(UsageError, match="coverage"):
-            iterative_reconstruct(curve, model, "ano", plan, k=8, quadrature="trapezoid")
+        for _ in range(2):
+            with pytest.raises(UsageError, match="coverage"):
+                iterative_reconstruct(curve, model, "ano", plan, k=8, quadrature="trapezoid")
+        assert model._plan_cache == {}
 
     def test_ce_method_uses_quadrature_on_later_steps(self):
         # anoce is allowed; later steps silently use quadrature scores.
