@@ -45,6 +45,7 @@ from .reconstruct import (
     reconstruct_kraus,
     reconstruct_pace,
     reconstruct_with_method,
+    select_gcv,
     select_kraus_ridge_gcv,
     select_truncation_gcv,
 )

@@ -17,11 +17,11 @@ from .errors import DataError, FdreconError, ParseError, UsageError
 from .iterative import IterationPlan, STRATEGIES, iterative_reconstruct
 from .reconstruct import (
     METHODS,
+    _chosen,
     curve_subdomain,
     fit_reconstruction_model,
     reconstruct_with_method,
-    select_kraus_ridge_gcv_many,
-    select_truncations_gcv_many,
+    select_gcv,
 )
 from .scores import ce_scores, integral_scores
 from .simulation import DEFAULT_METHODS, DgpConfig, run_study
@@ -237,25 +237,15 @@ def _tune_targets(args, model, dataset, targets) -> dict:
     One GCV call covers them all. A target whose geometry cannot be formed
     raises that error again when its key is looked up.
     """
-    parts = {}
+    observed = []
     for curve in targets:
         with contextlib.suppress(FdreconError):
-            o_sub = curve_subdomain(curve, model.grid)
-            parts.setdefault(o_sub.key(), o_sub)
-    if not parts:
-        return {}
-    observed = list(parts.values())
-    try:
-        if args.method == "kraus":
-            chosen = select_kraus_ridge_gcv_many(model, dataset, observed, margin_fraction=args.margin)
-        else:
-            chosen = [part[args.method] for part in select_truncations_gcv_many(
-                [args.method], model, dataset, observed,
-                margin_fraction=args.margin, quadrature=args.scores_quadrature,
-            )]
-    except FdreconError as exc:
-        chosen = [exc] * len(observed)
-    return dict(zip(parts, chosen))
+            observed.append(curve_subdomain(curve, model.grid))
+    chosen = select_gcv(
+        [args.method], model, dataset, observed,
+        margin_fraction=args.margin, quadrature=args.scores_quadrature,
+    )
+    return {o_sub.key(): part[args.method] for o_sub, part in zip(observed, chosen)}
 
 
 def _resolve_k(args, model, curve) -> int:
@@ -296,10 +286,7 @@ def cmd_reconstruct(args) -> int:
     for curve in targets:
         tuned = args.rho if kraus else None
         if tunings is not None:
-            selected = tunings[curve_subdomain(curve, model.grid).key()]
-            if isinstance(selected, FdreconError):
-                raise selected
-            tuned = selected[0]
+            tuned = _chosen(tunings[curve_subdomain(curve, model.grid).key()])[0]
         if kraus:
             rec = reconstruct_with_method(
                 "kraus", curve, model, rho=tuned, dataset=dataset,
@@ -368,10 +355,7 @@ def cmd_gcv_report(args) -> int:
     dataset, model = _load(args)
     curve = _curve(dataset, args.curve_id)
     key = curve_subdomain(curve, model.grid).key()
-    selected = _tune_targets(args, model, dataset, [curve])[key]
-    if isinstance(selected, FdreconError):
-        raise selected
-    choice, details = selected
+    choice, details = _chosen(_tune_targets(args, model, dataset, [curve])[key])
     if args.method == "kraus":
         lines = [f"{_num(r)},{_num(g)}" for r, g in sorted(details["gcv"].items())]
         header = "rho,gcv"

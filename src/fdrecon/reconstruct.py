@@ -51,13 +51,14 @@ PROV_RECONSTRUCTED = 1
 
 METHODS = ("ano", "anoce", "ayes", "ayesce", "pace", "kraus")
 GCV_MAX_COMPONENTS = 20
-# Target geometries one stacked GCV pass takes. Its arrays grow with their
-# number: a pass over the 50 geometries of a DGP-1 replication (n=50, m=15)
-# peaked at 8 MB, passes of 16 at 3 MB, for about 5% more GCV time.
+# Distinct target geometries one GCV pass splits the curves at. The truncation
+# arrays grow with their number: a pass over the 50 geometries of a DGP-1
+# replication (n=50, m=15) peaked at 8 MB, passes of 16 at 3 MB, for about 5%
+# more GCV time.
 GCV_PARTS_PER_PASS = 16
-# Parts one smoother pass of the ridge GCV takes. On 25 dense parts (50 curves
-# of 60 points) passes of 25, 8 and 4 parts peaked at 12.7, 5.1 and 3.2 MB,
-# against 6.6 MB for the model fit; passes of 1 to 4 parts ran equally fast.
+# Parts of a pass one smoother pass of the ridge GCV takes. On 25 dense parts
+# (50 curves of 60 points) passes of 25, 8 and 4 parts peaked at 12.7, 5.1 and
+# 3.2 MB, against 6.6 MB for the model fit; passes of 1 to 4 parts ran equally fast.
 RIDGE_GCV_PARTS_PER_PASS = 4
 KRAUS_RHO_GRID_DECADES = (-6.0, 2.0)
 KRAUS_RHO_GRID_SIZE = 9
@@ -517,18 +518,18 @@ def reconstruct_kraus(
     The missing part is predicted from the smoothed observed part through
     the discretized covariance operator with a ridge on the observed block.
     When ``rho`` is not given it is chosen by the generalized
-    cross-validation over completely observed curves. The ridge has no
-    truncation, so the error variance, when asked for, sums over every
-    component the observed interval's eigensystem retains.
+    cross-validation over completely observed curves, split at the curve's
+    own observed part (``select_gcv``). The ridge has no truncation, so the
+    error variance, when asked for, sums over every component the observed
+    interval's eigensystem retains.
     """
     grid = model.grid
     o_sub = curve_subdomain(curve, grid)
     if rho is None:
-        if dataset is None:
-            dataset = model.dataset
+        dataset = model.dataset if dataset is None else dataset
         if dataset is None:
             raise UsageError("rho not given and no dataset available for its selection")
-        rho, _ = select_kraus_ridge_gcv(model, dataset, o_sub.complement(grid))
+        rho, _ = _chosen(select_gcv(["kraus"], model, dataset, [o_sub])[0]["kraus"])
     if not (np.isfinite(rho) and rho > 0):
         raise UsageError(f"ridge parameter must be positive, got {rho}")
 
@@ -648,21 +649,124 @@ def select_truncation_gcv(
     pseudo-observed rest for each candidate truncation. The normalized
     residual sums feed the criterion RSS(K) / (1 - K/|C|)^2 with |C| the
     number of complete curves; ties break toward the smaller truncation.
+    This is the one-method case of ``select_truncations_gcv``, and it scores
+    ``target_m.complement(grid)`` as that does; the selection's error is raised.
     """
-    result = select_truncations_gcv(
+    return _chosen(select_truncations_gcv(
         [method], model, dataset, target_m, k_candidates, margin_fraction, quadrature
-    )[method]
+    )[method])
+
+
+def select_truncations_gcv(
+    methods: Sequence[str],
+    model: ReconstructionModel,
+    dataset: FunctionalDataset,
+    target_m: Subdomain,
+    k_candidates: Sequence[int] | None = None,
+    margin_fraction: float = 0.1,
+    quadrature: str = "riemann",
+) -> dict[str, tuple[int, dict] | FdreconError]:
+    """``select_truncation_gcv`` for several methods over one set of pseudo-missing splits.
+
+    Maps each method to its (K, details), "kraus" to its (rho, details), or
+    to the error its selection met. This is the one-geometry case of
+    ``select_gcv``, on the observed part ``target_m.complement(grid)``.
+    That part need not be a curve's own observed part: the complement of a
+    complement snaps an interval end that lies within 1e-9 of the domain
+    width from a grid point onto that point, so a caller holding a curve's
+    observed part passes it to ``select_gcv`` itself.
+    """
+    return select_gcv(
+        methods, model, dataset, [target_m.complement(model.grid)],
+        k_candidates, margin_fraction, quadrature,
+    )[0]
+
+
+def select_kraus_ridge_gcv(
+    model: ReconstructionModel,
+    dataset: FunctionalDataset,
+    target_m: Subdomain,
+    margin_fraction: float = 0.1,
+) -> tuple[float, dict]:
+    """Ridge parameter by the same pseudo-missing GCV with effective degrees of freedom.
+
+    The candidates are KRAUS_RHO_GRID_SIZE values log-spaced over
+    KRAUS_RHO_GRID_DECADES around the mean eigenvalue of the observed block.
+    This is the one-geometry case of ``select_gcv`` for kraus, and it scores
+    ``target_m.complement(grid)`` as ``select_truncations_gcv`` does; the
+    selection's error is raised.
+    """
+    selected = select_gcv(
+        ["kraus"], model, dataset, [target_m.complement(model.grid)], margin_fraction=margin_fraction
+    )
+    return _chosen(selected[0]["kraus"])
+
+
+def _chosen(result):
+    """A GCV slot's (choice, details); a slot holding an error raises it."""
     if isinstance(result, FdreconError):
         raise result
     return result
+
+
+def select_gcv(
+    methods: Sequence[str],
+    model: ReconstructionModel,
+    dataset: FunctionalDataset,
+    observed: Sequence[Subdomain],
+    k_candidates: Sequence[int] | None = None,
+    margin_fraction: float = 0.1,
+    quadrature: str = "riemann",
+) -> list[dict[str, tuple[int | float, dict] | FdreconError]]:
+    """GCV tuning of every method for every target geometry: K, or rho for kraus.
+
+    ``observed`` holds the observed part of each target. Returns, per entry,
+    each method mapped to its (K, details), (rho, details) for kraus, or the
+    error that stopped its selection there; a dataset without complete curves
+    puts that error in every slot. Each distinct geometry (by ``key()``) is
+    evaluated once, and the complete curves are split at GCV_PARTS_PER_PASS
+    of them at a time, which bounds the stacked arrays. In a pass, a short
+    loop over the parts evaluates what needs a part's eigensystem; the
+    quadrature, the score products, the smoothing and the residual sums run
+    on the splits of all its parts at once, and methods on one score route
+    (ano and ayes; anoce and ayesce) share the scores. Kraus smooths
+    RIDGE_GCV_PARTS_PER_PASS parts' splits per smoother pass, whose windows
+    stay within a split, and leaves out a split it cannot smooth anywhere.
+    Each product is formed at its part's own size and truncation, so a
+    part's results equal those of its one-part call bit for bit.
+
+    A split whose scores raise NotEstimableError, InsufficientLocalDataError
+    or DataError is skipped for that method, as is a degenerate split; any
+    other FdreconError ends the method with its first such error in id order.
+    """
+    distinct = {o_sub.key(): o_sub for o_sub in observed}
+    parts = list(distinct.values())
+    whole = DataError("subdomain covers the whole grid; empty complement")
+    results = [
+        {m: whole if m in METHODS and o_sub.grid_indices.size == model.grid.size else None
+         for m in methods}
+        for o_sub in parts
+    ]
+    for first in range(0, len(parts), GCV_PARTS_PER_PASS):
+        chunk = parts[first : first + GCV_PARTS_PER_PASS]
+        slots = results[first : first + GCV_PARTS_PER_PASS]
+        try:
+            batch = _SplitBatch(dataset, chunk, margin_fraction)
+        except FdreconError as exc:
+            for selected in slots:
+                selected.update(dict.fromkeys(methods, exc))
+            continue
+        _select_truncations(methods, model, batch, chunk, slots, k_candidates, quadrature)
+        if "kraus" in methods:
+            _select_ridges(model, batch, chunk, slots)
+    by_key = dict(zip(distinct, results))
+    return [dict(by_key[o_sub.key()]) for o_sub in observed]
 
 
 def _gcv_candidates(method, model, o_sub, n_complete, k_candidates):
     """The eigensystem of a method's GCV and its candidate truncations."""
     if method not in _SCORE_ROUTES:
         raise UsageError(f"unknown method {method!r}")
-    if o_sub.grid_indices.size == model.grid.size:
-        raise DataError("subdomain covers the whole grid; empty complement")
     eigsys = model.full_eigensystem() if method == "pace" else model.eigensystem_for(o_sub)
     k_cap = min(eigsys.k_available, n_complete - 1, GCV_MAX_COMPONENTS)
     if k_cap < 1:
@@ -794,132 +898,61 @@ class _Expansion:
         return np.add.reduceat(np.square(resid, out=resid), starts, axis=0) / sizes[:, None]
 
 
+_ALL_DEGENERATE = "no complete curves for GCV (all splits degenerate)"
 # Score errors that skip a split for a method; any other FdreconError ends the method.
 _SKIPPING_ERRORS = (NotEstimableError, InsufficientLocalDataError, DataError)
 
 
-def select_truncations_gcv_many(
-    methods: Sequence[str],
-    model: ReconstructionModel,
-    dataset: FunctionalDataset,
-    observed: Sequence[Subdomain],
-    k_candidates: Sequence[int] | None = None,
-    margin_fraction: float = 0.1,
-    quadrature: str = "riemann",
-) -> list[dict[str, tuple[int, dict] | FdreconError]]:
-    """GCV truncation choices of several methods for many target geometries at once.
-
-    ``observed`` holds the observed part of each target geometry. Returns,
-    per part, what ``select_truncations_gcv`` returns for the target
-    missing the rest of the grid: each method mapped to its (K, details)
-    or to the error its own call would raise. The complete curves are
-    classified once and split at every part together; a short loop over
-    the parts evaluates what needs a part's eigensystem (the basis at the
-    split points, the interval-end values, the anchor weights), and the
-    quadrature, the score products, the interval-end smoothing and the
-    residual sums run on the splits of all parts at once. Methods on the
-    same score route (ano and ayes; anoce and ayesce) share the scores.
-    More than GCV_PARTS_PER_PASS parts are taken that many at a time, which
-    bounds the stacked arrays. Each score product is formed at its part's
-    own truncation, so a part's tables equal those of its one-geometry call
-    bit for bit, whatever parts share its pass.
-
-    Raises NotEstimableError when the dataset has no complete curve; any
-    other error stays with its part and method.
-    """
-    if len(observed) > GCV_PARTS_PER_PASS:
-        return [
-            result
-            for at in range(0, len(observed), GCV_PARTS_PER_PASS)
-            for result in select_truncations_gcv_many(
-                methods, model, dataset, observed[at : at + GCV_PARTS_PER_PASS], k_candidates,
-                margin_fraction, quadrature,
-            )
-        ]
-    batch = _SplitBatch(dataset, observed, margin_fraction)
-    results: list[dict] = [{} for _ in observed]
+def _select_truncations(methods, model, batch: _SplitBatch, parts, results, k_candidates, quadrature):
+    """``select_gcv``'s truncation methods on one pass: fills their empty slots in results."""
     shared: dict = {}
     expansion_key = expansion = None
-    for method in methods:
+    for method in (m for m in methods if m != "kraus"):
         fits = {}
-        for j, o_sub in enumerate(observed):
-            try:
-                fits[j] = _gcv_candidates(method, model, o_sub, batch.n_complete, k_candidates)
-            except FdreconError as exc:
-                results[j][method] = exc
-        if not fits:
+        for j, o_sub in enumerate(parts):
+            if results[j][method] is None:
+                try:
+                    fits[j] = _gcv_candidates(method, model, o_sub, batch.n_complete, k_candidates)
+                except FdreconError as exc:
+                    results[j][method] = exc
+        live = list(fits)
+        if not live:
             continue
-        parts = list(fits)
-        ks = [max(fits[j][1]) for j in parts]
-        key = (_SCORE_ROUTES[method], tuple(parts), tuple(ks))
+        ks = [max(fits[j][1]) for j in live]
+        key = (_SCORE_ROUTES[method], tuple(live), tuple(ks))
         if key not in shared:
-            eigsystems = [fits[j][0] for j in parts]
-            shared[key] = _split_scores(key[0], batch, parts, eigsystems, ks, model, quadrature)
+            eigsystems = [fits[j][0] for j in live]
+            shared[key] = _split_scores(key[0], batch, live, eigsystems, ks, model, quadrature)
         xi, errors = shared[key]
         used = np.array([exc is None for exc in errors], dtype=bool)
         selecting = []
-        for j in parts:
+        for j in live:
             found = errors[batch.bounds[j] : batch.bounds[j + 1]]
             fatal = [e for e in found if e is not None and not isinstance(e, _SKIPPING_ERRORS)]
             if fatal:
                 results[j][method] = fatal[0]
             elif not used[batch.bounds[j] : batch.bounds[j + 1]].any():
-                results[j][method] = NotEstimableError(
-                    "no complete curves for GCV (all splits degenerate)"
-                )
+                results[j][method] = NotEstimableError(_ALL_DEGENERATE)
             else:
                 selecting.append(j)
         if not selecting:
             continue
         # One expansion at a time: methods on one eigensystem and truncation share it.
-        if (tuple(parts), tuple(ks), method == "pace") != expansion_key:
+        if (tuple(live), tuple(ks), method == "pace") != expansion_key:
             expansion = None  # release the previous one before building the next
-            expansion_key = (tuple(parts), tuple(ks), method == "pace")
-            expansion = _Expansion(batch, parts, fits, model)
+            expansion_key = (tuple(live), tuple(ks), method == "pace")
+            expansion = _Expansion(batch, live, fits, model)
         rss = expansion.rss(xi, aligned=method in ("ayes", "ayesce"))
         geometry = batch.geometry[expansion.keep]
         summed = np.isin(geometry, selecting) & used[expansion.keep]
         geometry = geometry[summed]
         sums = np.add.reduceat(rss[summed], np.searchsorted(geometry, selecting), axis=0)
-        n_used = np.bincount(geometry, minlength=len(observed))
+        n_used = np.bincount(geometry, minlength=len(parts))
         n_skipped = batch.n_degenerate + np.diff(batch.bounds) - n_used
         for j, total in zip(selecting, sums):
             results[j][method] = _gcv_choice(
                 fits[j][1], total, batch.n_complete, int(n_used[j]), int(n_skipped[j])
             )
-    return results
-
-
-def select_truncations_gcv(
-    methods: Sequence[str],
-    model: ReconstructionModel,
-    dataset: FunctionalDataset,
-    target_m: Subdomain,
-    k_candidates: Sequence[int] | None = None,
-    margin_fraction: float = 0.1,
-    quadrature: str = "riemann",
-) -> dict[str, tuple[int, dict] | FdreconError]:
-    """``select_truncation_gcv`` for several methods over one set of pseudo-missing splits.
-
-    Maps each method to its (K, details), or to the error its own
-    ``select_truncation_gcv`` call would raise; the results equal those of
-    the single-method calls. This is the one-geometry case of
-    ``select_truncations_gcv_many``, on the complement of ``target_m``:
-    every split is evaluated at once, the points of all splits stacked and
-    each tagged with its split; the integral scores are per-split segment
-    sums, the conditional-expectation scores solve one system per split,
-    the interval-end values of the aligned methods come from one smoother
-    pass whose windows stay within a split, and the residual sums of every
-    candidate K come from one cumulative sum.
-
-    A split whose scores raise NotEstimableError, InsufficientLocalDataError
-    or DataError is skipped for that method (as is a degenerate split); any
-    other FdreconError ends the method with its first such error in id order.
-    """
-    return select_truncations_gcv_many(
-        methods, model, dataset, [target_m.complement(model.grid)],
-        k_candidates, margin_fraction, quadrature,
-    )[0]
 
 
 def _gcv_choice(candidates, rss, n_complete, n_used, n_skipped) -> tuple[int, dict]:
@@ -938,61 +971,18 @@ def _gcv_choice(candidates, rss, n_complete, n_used, n_skipped) -> tuple[int, di
     return best, details
 
 
-def select_kraus_ridge_gcv(
-    model: ReconstructionModel,
-    dataset: FunctionalDataset,
-    target_m: Subdomain,
-    margin_fraction: float = 0.1,
-) -> tuple[float, dict]:
-    """Ridge parameter by the same pseudo-missing GCV with effective degrees of freedom.
-
-    The candidates are KRAUS_RHO_GRID_SIZE values log-spaced over
-    KRAUS_RHO_GRID_DECADES around the mean eigenvalue of the observed block.
-    This is the one-geometry case of ``select_kraus_ridge_gcv_many``, on
-    the complement of ``target_m``.
-    """
-    result = select_kraus_ridge_gcv_many(
-        model, dataset, [target_m.complement(model.grid)], margin_fraction
-    )[0]
-    if isinstance(result, FdreconError):
-        raise result
-    return result
-
-
-def select_kraus_ridge_gcv_many(
-    model: ReconstructionModel,
-    dataset: FunctionalDataset,
-    observed: Sequence[Subdomain],
-    margin_fraction: float = 0.1,
-) -> list[tuple[float, dict] | FdreconError]:
-    """Ridge GCV choices for many target geometries at once.
-
-    ``observed`` holds the observed part of each target geometry. Returns,
-    per part, what ``select_kraus_ridge_gcv`` returns for the target missing
-    the rest of the grid, or the error it would raise. The complete curves
-    are split at every part together, and one smoother pass per
-    RIDGE_GCV_PARTS_PER_PASS parts, whose windows stay within a split,
-    smooths every split onto its part's observed grid points; each split is
-    then one column of its part's ridge input. A split that cannot be
-    smoothed anywhere is left out.
-
-    Raises NotEstimableError when the dataset has no complete curve.
-    """
-    batch = _SplitBatch(dataset, observed, margin_fraction)
-    results: list = [None] * len(observed)
-    parts = []  # (part, its ridge operator, its splits)
-    for j, o_sub in enumerate(observed):
-        try:
-            if o_sub.grid_indices.size == model.grid.size:
-                raise DataError("subdomain covers the whole grid; empty complement")
-            op = model.ridge_operator_for(o_sub)
-        except FdreconError as exc:
-            results[j] = exc
-            continue
-        parts.append((j, op, np.arange(batch.bounds[j], batch.bounds[j + 1])))
+def _select_ridges(model, batch: _SplitBatch, parts, results):
+    """``select_gcv``'s kraus on one pass: fills its empty slots in results."""
+    live = []  # (part, its ridge operator, its splits)
+    for j, o_sub in enumerate(parts):
+        if results[j]["kraus"] is None:
+            try:
+                live.append((j, model.ridge_operator_for(o_sub), np.arange(*batch.bounds[j : j + 2])))
+            except FdreconError as exc:
+                results[j]["kraus"] = exc
     u_miss, y_miss, g_miss = batch.miss
-    for first in range(0, len(parts), RIDGE_GCV_PARTS_PER_PASS):
-        chunk = parts[first : first + RIDGE_GCV_PARTS_PER_PASS]
+    for first in range(0, len(live), RIDGE_GCV_PARTS_PER_PASS):
+        chunk = live[first : first + RIDGE_GCV_PARTS_PER_PASS]
         in_chunk = np.zeros(batch.n, dtype=bool)
         in_chunk[np.concatenate([s for _, _, s in chunk])] = True
         u, y, group = batch.restrict(batch.obs, in_chunk)
@@ -1009,16 +999,15 @@ def select_kraus_ridge_gcv_many(
             at = block.stop
             _, z0, ok = op.centred(smoothed[block].reshape(shape).T, good[block].reshape(shape).T)
             if not ok.any():
-                results[j] = NotEstimableError("no complete curves for GCV (all splits degenerate)")
+                results[j]["kraus"] = NotEstimableError(_ALL_DEGENERATE)
                 continue
             points = slice(*np.searchsorted(g_miss, batch.bounds[j : j + 2]))
             split = g_miss[points] - batch.bounds[j]
             keep = ok[split]
             col = (np.cumsum(ok) - 1)[split[keep]]
-            results[j] = _ridge_choice(
+            results[j]["kraus"] = _ridge_choice(
                 op, z0[:, ok], col, u_miss[points][keep], y_miss[points][keep], batch.n_complete
             )
-    return results
 
 
 def _ridge_choice(op, z0, col, u_miss, y_miss, n_complete) -> tuple[float, dict]:

@@ -13,11 +13,11 @@ from .core import Curve, DomainGrid, FunctionalDataset, build_dataset
 from .errors import FdreconError, StudyError, UsageError
 from .reconstruct import (
     METHODS,
+    _chosen,
     curve_subdomain,
     fit_reconstruction_model,
     reconstruct_with_method,
-    select_kraus_ridge_gcv_many,
-    select_truncations_gcv_many,
+    select_gcv,
 )
 from .smoothing import Bandwidths
 
@@ -263,40 +263,15 @@ def _reconstruct_rep(
             failures[m] = [f"rep {rep}: model fit failed: {exc}"] * config.n_targets
         return out, failures, targets.truth
 
-    # One GCV call per tuning selects it for every method and distinct target geometry.
+    # One GCV call tunes every method for every target.
     observed = [curve_subdomain(curve, grid) for curve in targets.curves]
-    parts = {o_sub.key(): o_sub for o_sub in observed}
-    selection: dict = {key: {} for key in parts}
-    truncation = [m for m in methods if m != "kraus"]
-    if truncation:
-        try:
-            chosen = select_truncations_gcv_many(
-                truncation,
-                model,
-                dataset,
-                list(parts.values()),
-                margin_fraction=margin_fraction,
-                quadrature=quadrature,
-            )
-        except FdreconError as exc:
-            chosen = [dict.fromkeys(truncation, exc)] * len(parts)
-        for key, selected in zip(parts, chosen):
-            selection[key].update(selected)
-    if "kraus" in methods:
-        try:
-            ridges = select_kraus_ridge_gcv_many(
-                model, dataset, list(parts.values()), margin_fraction=margin_fraction
-            )
-        except FdreconError as exc:
-            ridges = [exc] * len(parts)
-        for key, ridge in zip(parts, ridges):
-            selection[key]["kraus"] = ridge
-    for t, (curve, o_sub) in enumerate(zip(targets.curves, observed)):
+    selection = select_gcv(
+        methods, model, dataset, observed, margin_fraction=margin_fraction, quadrature=quadrature
+    )
+    for t, (curve, tunings) in enumerate(zip(targets.curves, selection)):
         for m in methods:
             try:
-                selected = selection[o_sub.key()][m]
-                if isinstance(selected, FdreconError):
-                    raise selected
+                selected = _chosen(tunings[m])
                 if m == "kraus":
                     rec = reconstruct_with_method(m, curve, model, rho=selected[0], dataset=dataset)
                 else:

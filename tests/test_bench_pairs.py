@@ -1,6 +1,8 @@
 """The summary arithmetic of tools/bench_pairs.py."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,44 @@ def test_summary_counts_wins_spreads_and_bounds():
 
 def test_seed_lists_and_ranges():
     assert bench_pairs.parse_seeds("401-404,7") == [401, 402, 403, 404, 7]
+
+
+def test_failed_runs_are_recorded_and_left_out(tmp_path, monkeypatch):
+    spec = {"end_to_end": [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    # (side, seed) -> (exit code, correct, t)
+    outcomes = {
+        ("parent", 1): (0, True, 2.0), ("change", 1): (0, True, 1.0),
+        ("parent", 2): (0, True, 4.0), ("change", 2): (3, None, None),
+        ("parent", 3): (0, False, 100.0), ("change", 3): (0, True, 3.0),
+    }
+
+    def run(cmd, cwd, capture_output, text):
+        code, correct, t = outcomes[Path(cwd).name, int(cmd[cmd.index("--seed") + 1])]
+        if code:
+            return subprocess.CompletedProcess(cmd, code, "", "Traceback\nboom\n")
+        last = {"correct": correct, "attempted": 4, "failed": 0, "metrics": {"t": {"value": t}}}
+        stdout = ("" if correct else "check failed: known answer\n") + json.dumps(last) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "warning\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--seeds", "1-3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert report["seeds"] == [1, 2, 3]
+    assert report["failed_runs"] == {"parent": 1, "change": 1}
+    crashed = report["pairs"][1]["change"]
+    assert (crashed["correct"], crashed["exit_code"], crashed["stderr_tail"]) == (False, 3, "Traceback\nboom\n")
+    assert "metrics" not in crashed
+    wrong = report["pairs"][2]["parent"]
+    assert wrong["checks_failed"] == ["check failed: known answer"] and wrong["stderr_tail"] == "warning\n"
+    assert "stderr_tail" not in report["pairs"][0]["parent"]
+    t = report["summary"]["t"]
+    assert t["parent"]["median"] == 3.0  # runs 2 and 4; the failed run's 100 is left out
+    assert t["change"]["median"] == 2.0  # runs 1 and 3
+    assert (t["wins"], t["losses"], t["pairs"]) == (1, 0, 3)  # only pair 1 has two passed runs
+    assert not t["gain_rule_holds"]

@@ -183,8 +183,7 @@ class TestTuneEveryTargetOnce:
 
             monkeypatch.setattr(cli, name, spy)
 
-        wrap("select_truncations_gcv_many")
-        wrap("select_kraus_ridge_gcv_many")
+        wrap("select_gcv")
         real = cli.reconstruct_with_method
 
         def reconstruct(method, curve, model, k=None, rho=None, **kwargs):

@@ -20,6 +20,7 @@ from fdrecon import (
     reconstruct_kraus,
     reconstruct_pace,
     reconstruct_with_method,
+    select_gcv,
     select_kraus_ridge_gcv,
     select_truncation_gcv,
 )
@@ -474,11 +475,19 @@ class TestGcv:
         ds = build_dataset(curves, domain=(0, 1))
         model = rank3_model()
         from fdrecon import NotEstimableError
+        from fdrecon.reconstruct import select_truncations_gcv
 
+        target_m = Subdomain.from_interval(model.grid, 0.8, 1.0)
         with pytest.raises(NotEstimableError, match="no complete curves"):
-            select_truncation_gcv(
-                "ano", model, ds, Subdomain.from_interval(model.grid, 0.8, 1.0)
-            )
+            select_truncation_gcv("ano", model, ds, target_m)
+        with pytest.raises(NotEstimableError, match="no complete curves"):
+            select_kraus_ridge_gcv(model, ds, target_m)
+        # The many-method call puts the error in every slot instead.
+        got = select_truncations_gcv(["ano", "kraus", "pace"], model, ds, target_m)
+        assert list(got) == ["ano", "kraus", "pace"]
+        for result in got.values():
+            assert isinstance(result, NotEstimableError)
+            assert str(result) == "no complete curves for GCV"
 
     def test_rescaling_invariance(self):
         ds, _ = rank3_dataset(n=50, m=60, seed=34, noise=0.01)
@@ -494,7 +503,6 @@ class TestGcv:
         assert k1 == k2
 
     def test_shared_pass_matches_single_method_calls(self):
-        from fdrecon import UsageError
         from fdrecon.reconstruct import select_truncations_gcv
 
         ds, _ = rank3_dataset(n=60, m=60, seed=36, noise=0.05)
@@ -507,7 +515,8 @@ class TestGcv:
             for m in methods[:-1]:
                 alone = select_truncation_gcv(m, model, ds, tm, k_candidates=k_candidates)
                 assert together[m] == alone
-            assert isinstance(together["kraus"], UsageError)
+            # kraus takes its ridge choice in the same call; K candidates do not apply.
+            assert together["kraus"] == select_kraus_ridge_gcv(model, ds, tm)
 
     def test_kraus_ridge_selection_returns_candidate(self):
         ds, _ = rank3_dataset(n=60, m=80, seed=35, noise=0.02)
@@ -618,19 +627,6 @@ def reference_truncations_gcv(
     return results
 
 
-def reference_truncations_gcv_many(
-    methods, model, dataset, observed, k_candidates=None, margin_fraction=0.1, quadrature="riemann"
-):
-    """``reference_truncations_gcv`` once per observed part, each on the part's complement."""
-    return [
-        reference_truncations_gcv(
-            methods, model, dataset, o_sub.complement(model.grid), k_candidates, margin_fraction,
-            quadrature,
-        )
-        for o_sub in observed
-    ]
-
-
 def reference_ridge_gcv(model, dataset, target_m, margin_fraction=0.1):
     from fdrecon import NotEstimableError
     from fdrecon.reconstruct import KRAUS_RHO_GRID_DECADES, KRAUS_RHO_GRID_SIZE, _RidgeOperator
@@ -673,18 +669,31 @@ def reference_ridge_gcv(model, dataset, target_m, margin_fraction=0.1):
     return float(best), {"gcv": results, "trace": trace}
 
 
-def reference_ridge_gcv_many(model, dataset, observed, margin_fraction=0.1):
-    """``reference_ridge_gcv`` once per observed part, on its complement; an error is returned."""
+def reference_gcv(
+    methods, model, dataset, observed, k_candidates=None, margin_fraction=0.1, quadrature="riemann"
+):
+    """``select_gcv`` by the reference loops: once per entry, repeats included, on its complement.
+
+    An error is returned in the slots it stops.
+    """
     from fdrecon import FdreconError
 
+    truncation = [m for m in methods if m != "kraus"]
     results = []
     for o_sub in observed:
+        target_m = o_sub.complement(model.grid)
         try:
-            results.append(
-                reference_ridge_gcv(model, dataset, o_sub.complement(model.grid), margin_fraction)
+            result = reference_truncations_gcv(
+                truncation, model, dataset, target_m, k_candidates, margin_fraction, quadrature
             )
         except FdreconError as exc:
-            results.append(exc)
+            result = dict.fromkeys(truncation, exc)
+        if "kraus" in methods:
+            try:
+                result["kraus"] = reference_ridge_gcv(model, dataset, target_m, margin_fraction)
+            except FdreconError as exc:
+                result["kraus"] = exc
+        results.append({m: result[m] for m in methods})
     return results
 
 
@@ -841,19 +850,28 @@ class TestGcvReferenceOracles:
             assert 0 < got[method][1]["n_used"] < got["ano"][1]["n_used"]
             assert got[method][1]["n_skipped"] > got["ano"][1]["n_skipped"]
 
-    @pytest.mark.parametrize("seed", [5, 6, 7])
+    @pytest.mark.parametrize("seed", [5, 6, 7, 11])
     def test_run_study_reports_equal_with_the_references(self, seed, monkeypatch):
+        # On DGPs 3 and 4 lattice targets share geometries, which select_gcv
+        # evaluates once and the reference evaluates per target.
         from fdrecon import DgpConfig, run_study, simulation
 
-        cfg = DgpConfig(dgp=1, n=40, m=12, seed=seed, replications=1, n_targets=12)
-        methods = ["ano", "ayes", "anoce", "ayesce", "kraus"]
-        report = run_study(cfg, methods)
-        monkeypatch.setattr(simulation, "select_truncations_gcv_many", reference_truncations_gcv_many)
-        monkeypatch.setattr(simulation, "select_kraus_ridge_gcv_many", reference_ridge_gcv_many)
-        want = run_study(cfg, methods)
-        assert report.rows == want.rows
         drop = lambda meta: {k: v for k, v in meta.items() if k != "runtime_s"}  # noqa: E731
-        assert drop(report.metadata) == drop(want.metadata)
+        studies = [
+            (DgpConfig(dgp=1, n=40, m=12, seed=seed, replications=1, n_targets=12),
+             ["ano", "ayes", "anoce", "ayesce", "kraus"]),
+            (DgpConfig(dgp=3, n=40, seed=seed, replications=1, n_targets=12),
+             ["ayes", "pace", "ano", "kraus"]),
+            (DgpConfig(dgp=4, n=40, seed=seed, replications=1, n_targets=12),
+             ["ayes", "ano", "kraus", "pace"]),
+        ]
+        for cfg, methods in studies:
+            report = run_study(cfg, methods)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, "select_gcv", reference_gcv)
+                want = run_study(cfg, methods)
+            assert report.rows == want.rows
+            assert drop(report.metadata) == drop(want.metadata)
 
 
 def distinct_target_parts(model, targets):
@@ -881,16 +899,11 @@ def assert_many_matches_one_geometry_calls(model, ds, observed, **kwargs):
     The one-geometry functions take the part's complement, whose own
     complement snaps an interval end within 1e-9 of a grid point to that
     point; where that moves an end, they are compared to the tables'
-    tolerance. Without truncation options the ridge GCV is checked against
-    its calls alone too (its one-part case meets the reference loop in
-    ``assert_gcv_matches_reference``).
+    tolerance. (The one-part ridge case meets the reference loop in
+    ``assert_gcv_matches_reference``.)
     """
     from fdrecon import FdreconError
-    from fdrecon.reconstruct import (
-        select_kraus_ridge_gcv_many,
-        select_truncations_gcv,
-        select_truncations_gcv_many,
-    )
+    from fdrecon.reconstruct import select_truncations_gcv
 
     def outcome(select, *args):
         try:
@@ -898,24 +911,24 @@ def assert_many_matches_one_geometry_calls(model, ds, observed, **kwargs):
         except FdreconError as exc:
             return exc
 
-    got = select_truncations_gcv_many(GCV_METHODS, model, ds, observed, **kwargs)
-    ridges = None if kwargs else select_kraus_ridge_gcv_many(model, ds, observed)
+    methods = GCV_METHODS + ["kraus"]
+    got = select_gcv(methods, model, ds, observed, **kwargs)
     assert len(got) == len(observed)
-    for j, (o_sub, many) in enumerate(zip(observed, got)):
-        (alone,) = select_truncations_gcv_many(GCV_METHODS, model, ds, [o_sub], **kwargs)
+    for o_sub, many in zip(observed, got):
+        (alone,) = select_gcv(methods, model, ds, [o_sub], **kwargs)
         target_m = o_sub.complement(model.grid)
         same_part = target_m.complement(model.grid).key() == o_sub.key()
-        one = select_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
+        one = select_truncations_gcv(methods, model, ds, target_m, **kwargs)
         want = reference_truncations_gcv(GCV_METHODS, model, ds, target_m, **kwargs)
-        assert list(many) == list(alone) == list(one) == list(want) == GCV_METHODS
-        for method in GCV_METHODS:
+        assert list(many) == list(alone) == list(one) == methods
+        assert list(want) == GCV_METHODS
+        for method in methods:
             assert_identical(many[method], alone[method])
             (assert_identical if same_part else assert_same_selection)(many[method], one[method])
+        for method in GCV_METHODS:
             assert_same_selection(many[method], want[method])
-        if ridges is not None:
-            assert_identical(ridges[j], select_kraus_ridge_gcv_many(model, ds, [o_sub])[0])
-            one_ridge = outcome(select_kraus_ridge_gcv, model, ds, target_m)
-            (assert_identical if same_part else assert_same_selection)(ridges[j], one_ridge)
+        one_ridge = outcome(select_kraus_ridge_gcv, model, ds, target_m)
+        (assert_identical if same_part else assert_same_selection)(many["kraus"], one_ridge)
     return got
 
 
@@ -982,36 +995,45 @@ class TestManyGeometryGcv:
 
     def test_no_complete_curves(self):
         from fdrecon import NotEstimableError
-        from fdrecon.reconstruct import select_truncations_gcv_many
 
         rng = np.random.default_rng(45)
         curves = [Curve(f"f{i}", np.sort(rng.uniform(0.2, 0.7, 12)), rng.normal(size=12))
                   for i in range(10)]
         ds = build_dataset(curves, domain=(0, 1))
         model = rank3_model()
-        observed = [Subdomain.from_interval(model.grid, 0.2, 0.7)]
-        with pytest.raises(NotEstimableError, match="no complete curves for GCV"):
-            select_truncations_gcv_many(GCV_METHODS, model, ds, observed)
+        observed = [Subdomain.from_interval(model.grid, 0.2, 0.7),
+                    Subdomain.from_interval(model.grid, 0.0, 0.5)]
+        # The error is in every slot of every part; nothing is raised.
+        got = select_gcv(GCV_METHODS + ["kraus"], model, ds, observed)
+        assert len(got) == 2
+        for part in got:
+            assert list(part) == GCV_METHODS + ["kraus"]
+            for result in part.values():
+                assert isinstance(result, NotEstimableError)
+                assert str(result) == "no complete curves for GCV"
+        # The one-geometry functions raise it.
         with pytest.raises(NotEstimableError, match="no complete curves for GCV"):
             select_truncation_gcv("ano", model, ds, observed[0].complement(model.grid))
+        with pytest.raises(NotEstimableError, match="no complete curves for GCV"):
+            select_kraus_ridge_gcv(model, ds, observed[0].complement(model.grid))
 
     def test_run_study_selects_once_per_replication(self, monkeypatch):
         from fdrecon import DgpConfig, generate_dgp, run_study, simulation
 
         cfg = DgpConfig(dgp=3, n=40, seed=8, replications=2, n_targets=15)
         calls = []
-        real = simulation.select_truncations_gcv_many
+        real = simulation.select_gcv
 
         def spy(methods, model, dataset, observed, **kwargs):
-            calls.append([o_sub.key() for o_sub in observed])
+            calls.append((list(methods), [o_sub.key() for o_sub in observed]))
             return real(methods, model, dataset, observed, **kwargs)
 
-        monkeypatch.setattr(simulation, "select_truncations_gcv_many", spy)
+        monkeypatch.setattr(simulation, "select_gcv", spy)
         run_study(cfg, ["ayes", "ano", "pace"])
-        _, targets = generate_dgp(cfg, 0)
-        want = [o_sub.key() for o_sub in distinct_target_parts(fit_reconstruction_model(
-            generate_dgp(cfg, 0)[0]), targets)]
-        assert calls == [want, want]
+        ds, targets = generate_dgp(cfg, 0)
+        grid = fit_reconstruction_model(ds).grid
+        want = [curve_subdomain(curve, grid).key() for curve in targets.curves]
+        assert calls == [(["ayes", "ano", "pace"], want)] * 2
 
     def test_run_study_reconstructs_each_target_at_its_own_k(self, monkeypatch):
         from fdrecon import DgpConfig, generate_dgp, run_study, simulation
@@ -1043,25 +1065,27 @@ class TestManyGeometryGcv:
 
         cfg = DgpConfig(dgp=3, n=40, seed=8, replications=2, n_targets=15)
         calls = []
-        real = simulation.select_kraus_ridge_gcv_many
+        real = simulation.select_gcv
 
-        def spy(model, dataset, observed, **kwargs):
-            calls.append(len(observed))
-            return real(model, dataset, observed, **kwargs)
+        def spy(methods, model, dataset, observed, **kwargs):
+            calls.append((list(methods), len(observed), len({o_sub.key() for o_sub in observed})))
+            return real(methods, model, dataset, observed, **kwargs)
 
-        monkeypatch.setattr(simulation, "select_kraus_ridge_gcv_many", spy)
+        monkeypatch.setattr(simulation, "select_gcv", spy)
         run_study(cfg, ["kraus"])
-        assert len(calls) == 2 and 1 < calls[0] < 15
+        assert len(calls) == 2
+        methods, n_targets, n_distinct = calls[0]
+        assert methods == ["kraus"] and n_targets == 15 and 1 < n_distinct < 15
 
     def test_kraus_reconstruction_reuses_the_gcv_operator(self, monkeypatch):
         from fdrecon import DgpConfig, generate_dgp, reconstruct
-        from fdrecon.reconstruct import select_kraus_ridge_gcv_many
 
         cfg = DgpConfig(dgp=1, n=40, m=15, seed=12, replications=1, n_targets=6)
         ds, targets = generate_dgp(cfg, 0)
         model = fit_reconstruction_model(ds)
         observed = distinct_target_parts(model, targets)
-        chosen = select_kraus_ridge_gcv_many(model, ds, observed)
+        assert len(observed) == len(targets.curves)
+        chosen = [part["kraus"] for part in select_gcv(["kraus"], model, ds, observed)]
         built = []
         real = reconstruct._RidgeOperator.__init__
 
@@ -1076,3 +1100,77 @@ class TestManyGeometryGcv:
             want = reconstruct_with_method("kraus", curve, fresh, rho=rho)
             np.testing.assert_array_equal(rec.values, want.values)
         assert len(built) == len(observed)  # the fresh model's operators only
+
+
+class TestSelectGcv:
+    def test_repeated_parts_and_mixed_methods(self, monkeypatch):
+        from fdrecon import DataError, reconstruct
+
+        ds, _ = rank3_dataset(n=40, m=20, seed=46, noise=0.05)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        grid = model.grid
+        a = Subdomain.from_interval(grid, 0.0, 0.61)
+        b = Subdomain.from_interval(grid, 0.3, 1.0)
+        hole = Subdomain.from_interval(grid, 0.4123, 0.6042).complement(grid)
+        whole = model.full_subdomain()
+        # Repeats, one of them an equal geometry built anew, across passes of two parts.
+        observed = [a, b, a, whole, hole, Subdomain.from_interval(grid, 0.3, 1.0), a, whole]
+        methods = ["ayes", "kraus", "ano", "pace", "anoce", "ayesce"]
+        monkeypatch.setattr(reconstruct, "GCV_PARTS_PER_PASS", 2)
+        split = []
+
+        class CountingBatch(reconstruct._SplitBatch):
+            def __init__(self, dataset, parts, margin_fraction):
+                split.extend(o_sub.key() for o_sub in parts)
+                super().__init__(dataset, parts, margin_fraction)
+
+        monkeypatch.setattr(reconstruct, "_SplitBatch", CountingBatch)
+        got = select_gcv(methods, model, ds, observed)
+        # Each distinct geometry is split once, in order of first appearance.
+        assert split == [a.key(), b.key(), whole.key(), hole.key()]
+        assert len(got) == len(observed)
+        assert got[0] is not got[2]
+        for o_sub, slot in zip(observed, got):
+            (alone,) = select_gcv(methods, model, ds, [o_sub])
+            assert list(slot) == list(alone) == methods
+            for method in methods:
+                assert_identical(slot[method], alone[method])
+        for j, o_sub in enumerate(observed):
+            for method in methods:
+                if o_sub is whole:
+                    assert isinstance(got[j][method], DataError)
+                    assert "covers the whole grid" in str(got[j][method])
+                else:
+                    assert isinstance(got[j][method], tuple)
+
+    def test_unknown_method_and_empty_input(self):
+        from fdrecon import UsageError
+
+        ds, _ = rank3_dataset(n=40, m=20, seed=46, noise=0.05)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        assert select_gcv(["ano", "kraus"], model, ds, []) == []
+        (part,) = select_gcv(["ano", "bogus"], model, ds, [model.full_subdomain()])
+        assert isinstance(part["bogus"], UsageError) and "unknown method" in str(part["bogus"])
+
+    def test_kraus_tunes_on_the_curves_own_observed_part(self, monkeypatch):
+        # The curve ends at 0.7, within 1e-9 of the grid point 0.7000000000000001:
+        # the complement of its complement would end on the grid point.
+        from fdrecon import reconstruct
+
+        ds, _ = rank3_dataset(n=40, m=20, seed=44, noise=0.05)
+        model = fit_reconstruction_model(ds, bandwidths=Bandwidths(0.06, 0.05, 0.07))
+        u = np.linspace(0.0, 0.7, 30)
+        curve = Curve("t", u, rank3_curve_values(u, np.array([0.5, -1.0, 0.3])))
+        o_sub = curve_subdomain(curve, model.grid)
+        assert o_sub.complement(model.grid).complement(model.grid).key() != o_sub.key()
+        seen = []
+        real = reconstruct.select_gcv
+
+        def spy(methods, model, dataset, observed, **kwargs):
+            seen.append((list(methods), [part.key() for part in observed]))
+            return real(methods, model, dataset, observed, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "select_gcv", spy)
+        rec = reconstruct_kraus(curve, model)
+        assert seen == [(["kraus"], [o_sub.key()])]
+        assert rec.diagnostics["rho"] == real(["kraus"], model, ds, [o_sub])[0]["kraus"][0]

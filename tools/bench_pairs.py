@@ -15,10 +15,14 @@ quartiles, the pairs the change wins and loses (ties count for neither),
 and whether the gain rule holds: at least nine tenths of the pairs won and
 a gap between the medians larger than the distance between the parent's
 quartiles; and whether the change's median is worse than the parent's by
-more than the metric's bound, a fraction of the parent's median. It also
-records ``nproc`` and the Python, numpy and scipy versions. The file is
-rewritten after every pair. Workloads already in an existing output file
-are kept, so one file can collect the runs of every workload.
+more than the metric's bound, a fraction of the parent's median. A run
+that exits non-zero or reports ``correct: false`` is a failed run: its pair
+keeps its exit code, the tail of its stderr and its failed checks, the
+summary leaves it out and counts the failed runs per side, and the next
+pair runs. The file also records ``nproc`` and the Python, numpy and scipy
+versions. It is rewritten after every pair. Workloads already in an
+existing output file are kept, so one file can collect the runs of every
+workload.
 
 Only the standard library is used.
 """
@@ -56,21 +60,32 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def passed(run: dict) -> bool:
+    """Whether a run exited zero and reported ``correct: true`` (taken as true if unrecorded)."""
+    return run.get("correct", True) is True
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric: each side's spread, wins, losses and the gain rule.
 
     ``pairs`` holds one dict per pair with a ``metrics`` mapping of name to
     value for each side; ``end_to_end`` is the list of that name in
-    ``BENCHMARK.json``. A metric missing from any run is left out.
+    ``BENCHMARK.json``. Failed runs are left out: a side's spread is over its
+    passed runs, and wins and losses are over the pairs whose runs both
+    passed; the gain rule still takes every pair. A metric missing from any
+    passed run is left out.
     """
+    runs = {side: [pair[side] for pair in pairs if passed(pair[side])] for side in SIDES}
+    both = [pair for pair in pairs if all(passed(pair[side]) for side in SIDES)]
     out = {}
     for spec in end_to_end:
         name = spec["name"]
-        if not all(name in pair[side]["metrics"] for pair in pairs for side in SIDES):
+        if not all(runs[side] and all(name in run["metrics"] for run in runs[side]) for side in SIDES):
             continue
         sign = 1.0 if spec["better"] == "higher" else -1.0
-        values = {side: [pair[side]["metrics"][name] for pair in pairs] for side in SIDES}
-        gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+        values = {side: [run["metrics"][name] for run in runs[side]] for side in SIDES}
+        gains = [sign * (pair["change"]["metrics"][name] - pair["parent"]["metrics"][name])
+                 for pair in both]
         parent, change = spread(values["parent"]), spread(values["change"])
         gap = sign * (change["median"] - parent["median"])
         wins = sum(g > 0 for g in gains)
@@ -96,16 +111,23 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> d
         "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {
-        "correct": last["correct"],
-        "attempted": last["attempted"],
-        "failed": last["failed"],
-        "metrics": {name: m["value"] for name, m in last["metrics"].items()},
+    run = {
+        "exit_code": proc.returncode,
         "checks_failed": [line for line in proc.stdout.splitlines() if line.startswith("check failed")],
     }
+    if proc.returncode == 0:
+        last = json.loads(proc.stdout.strip().splitlines()[-1])
+        run.update(
+            correct=last["correct"],
+            attempted=last["attempted"],
+            failed=last["failed"],
+            metrics={name: m["value"] for name, m in last["metrics"].items()},
+        )
+    else:
+        run["correct"] = False
+    if not passed(run):
+        run["stderr_tail"] = proc.stderr[-2000:]
+    return run
 
 
 def environment() -> dict:
@@ -146,12 +168,16 @@ def main(argv=None) -> int:
             pair[side] = run_benchmark(checkouts[side], args.workload, seed, args.seconds)
         pairs.append(pair)
         print(f"{args.workload} seed {seed}: " + ", ".join(
-            f"{side} op_p50_s {pair[side]['metrics'].get('op_p50_s')!r}" for side in SIDES
+            f"{side} op_p50_s {pair[side].get('metrics', {}).get('op_p50_s')!r}"
+            + ("" if passed(pair[side]) else f" FAILED (exit {pair[side]['exit_code']}, "
+                                              f"{len(pair[side]['checks_failed'])} checks failed)")
+            for side in SIDES
         ), flush=True)
         report["workloads"][args.workload] = {
             "seconds": args.seconds,
             "seeds": [pair["seed"] for pair in pairs],
             "pairs": pairs,
+            "failed_runs": {side: sum(not passed(pair[side]) for pair in pairs) for side in SIDES},
             "summary": summarize(pairs, spec["end_to_end"]),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
