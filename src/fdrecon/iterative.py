@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,11 +77,9 @@ def _choose_next_rows(
     a = np.minimum(anchor, anchor + sign * k)
     b = a + k + 1
 
-    # Prefix sums of the non-estimable cells: the square [a, b) x [a, b) and
-    # each uncovered row over [a, b) are estimable when they count none.
-    bad = ~np.asarray(mask, dtype=bool)
-    square = np.zeros((L + 1, L + 1), dtype=np.int64)
-    square[1:, 1:] = bad.cumsum(axis=0).cumsum(axis=1)
+    # Prefix sums of the non-estimable cells (one table per mask): the square
+    # [a, b) x [a, b) and each uncovered row over [a, b) are estimable when they count none.
+    square = _bad_cell_sums(np.asarray(mask, dtype=bool).tobytes(), L)
     uncovered = np.nonzero(~covered)[0]
     rows = square[uncovered + 1] - square[uncovered]
     in_band = square[b, b] - square[a, b] - square[b, a] + square[a, a] == 0
@@ -94,6 +93,13 @@ def _choose_next_rows(
         return None
     best = int(key.argmax())
     return np.arange(a[best], b[best])
+
+
+@functools.lru_cache(maxsize=4)
+def _bad_cell_sums(mask: bytes, L: int) -> np.ndarray:
+    square = np.pad((np.frombuffer(mask, bool).reshape(L, L) == 0).cumsum(0).cumsum(1), (1, 0))
+    square.flags.writeable = False
+    return square
 
 
 def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -58,7 +58,7 @@ def test_seed_lists_and_ranges():
     assert bench_pairs.parse_seeds("401-404,7") == [401, 402, 403, 404, 7]
 
 
-def test_failed_runs_are_recorded_and_left_out(tmp_path, monkeypatch):
+def test_failed_runs_are_recorded_and_left_out(tmp_path, monkeypatch, capsys):
     spec = {"end_to_end": [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25}]}
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
@@ -74,7 +74,9 @@ def test_failed_runs_are_recorded_and_left_out(tmp_path, monkeypatch):
         code, correct, t = outcomes[Path(cwd).name, int(cmd[cmd.index("--seed") + 1])]
         if code:
             return subprocess.CompletedProcess(cmd, code, "", "Traceback\nboom\n")
-        last = {"correct": correct, "attempted": 4, "failed": 0, "metrics": {"t": {"value": t}}}
+        metrics = {"t": t, "op_p50_s": t, "peak_rss_mb": 70.5, "setup_s": 0.5}
+        last = {"correct": correct, "attempted": 4, "failed": 0,
+                "metrics": {name: {"value": v} for name, v in metrics.items()}}
         stdout = ("" if correct else "check failed: known answer\n") + json.dumps(last) + "\n"
         return subprocess.CompletedProcess(cmd, 0, stdout, "warning\n")
 
@@ -83,6 +85,10 @@ def test_failed_runs_are_recorded_and_left_out(tmp_path, monkeypatch):
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
             "--workload", "w", "--seeds", "1-3", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
+    progress = capsys.readouterr().out.splitlines()
+    assert progress[0] == ("w seed 1: parent op_p50_s 2.0 peak_rss_mb 70.5 setup_s 0.5, "
+                           "change op_p50_s 1.0 peak_rss_mb 70.5 setup_s 0.5")
+    assert progress[1].endswith("change op_p50_s None peak_rss_mb None setup_s None FAILED (exit 3, 0 checks failed)")
     report = json.loads(out.read_text())["workloads"]["w"]
     assert report["seeds"] == [1, 2, 3]
     assert report["failed_runs"] == {"parent": 1, "change": 1}

@@ -299,6 +299,17 @@ class TestPlanCache:
         iterative_reconstruct(b, masked_model(mask), "ano", plan, 2)
         assert len(calls) == 2 * n_search
 
+    def test_mask_table_built_once_per_plan(self, monkeypatch):
+        # Every window search of a plan reads the mask's prefix-sum table;
+        # it is built at the first and looked up at the others.
+        calls = self._count_searches(monkeypatch)
+        iterative._bad_cell_sums.cache_clear()
+        model = masked_model(band_mask(0.3))
+        iterative_reconstruct(fragment(model.grid, 0.3, 0.5, 1), model, "ayes", IterationPlan(r_max=8), 2)
+        info = iterative._bad_cell_sums.cache_info()
+        assert len(calls) >= 2
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+
     def test_plan_key_separates_plans(self):
         # One curve, one model, five plans: each gets its own cached plan.
         model = masked_model(band_mask(0.3))

@@ -377,6 +377,53 @@ def _covariance_ten_passes(ds, mean, grid, h, min_pairs):
     return surface, mask, int(fallback.sum())
 
 
+def _bare_curve(cid, u, y):
+    """A curve without Curve's check, which asks for two distinct abscissae.
+
+    The covariance smoother takes any number of observations per curve; a
+    curve of one pairs with nothing.
+    """
+    curve = object.__new__(Curve)
+    for name, value in (("id", cid), ("u", u), ("y", y)):
+        object.__setattr__(curve, name, value)
+    return curve
+
+
+def _ten_pass_sample(source):
+    """(dataset, mean bandwidth or None for the rule of thumb) of the ten-pass comparison."""
+    from fdrecon import DgpConfig, generate_dgp
+
+    rng = np.random.default_rng(38)
+    if source.startswith("dgp"):
+        dgp = int(source[-1])
+        cfg = DgpConfig(dgp=dgp, n=50, m=15 if dgp in (1, 2) else None, seed=dgp, replications=1)
+        return generate_dgp(cfg, 0)[0], None
+    if source in ("dense", "fragments"):
+        curves = []
+        for i in range(40):
+            a = rng.uniform(0, 0.6) if source == "fragments" else rng.uniform(0, 0.25) * (i % 2)
+            b = a + 0.4 if source == "fragments" else 1.0 - rng.uniform(0, 0.25) * (i % 2)
+            u = np.sort(rng.uniform(a, b, 15 if source == "fragments" else 60))
+            curves.append(Curve(f"c{i}", u, np.sin(3 * u) * rng.normal() + 0.05 * rng.normal(size=u.size)))
+        return build_dataset(curves), None
+    grid_size = 51
+    if source.startswith("grid"):
+        grid_size, lengths = int(source[4:]), rng.integers(2, 21, 30)
+    elif source == "single":
+        lengths = np.where(np.arange(45) % 3 == 0, 1, rng.integers(2, 16, 45))
+    elif source == "mixed":
+        lengths = np.concatenate([[1, 200], rng.integers(1, 201, 38)])
+    else:  # the benchmark's scale: 1,000 fragments of 15 points
+        lengths = np.full(1000, 15)
+    curves = []
+    for i, m in enumerate(lengths):
+        a = rng.uniform(0, 0.6)
+        u = np.sort(rng.uniform(a, a + 0.4, m))
+        y = np.sin(3 * u) * rng.normal() + 0.05 * rng.normal(size=m)
+        curves.append(Curve(f"c{i}", u, y) if m > 1 else _bare_curve(f"c{i}", u, y))
+    return build_dataset(curves, domain=(0.0, 1.0), grid_size=grid_size), 0.3
+
+
 def _noise_pairs_oracle(ds, mean, h_t):
     """All within-curve pairs closer than h_t as (midpoint, gap, half squared difference)."""
     s, t, d = [], [], []
@@ -500,32 +547,30 @@ class TestBruteForceOracles:
         _, n_fallback = self._assert_covariance_matches(ds, mean, 0.15)
         assert n_fallback > 0
 
-    @pytest.mark.parametrize("source", ["dgp1", "dgp2", "dgp3", "dgp4", "dense", "fragments"])
-    def test_covariance_equals_the_ten_pass_reference(self, source):
-        # One prefix-sum pass per distinct right factor forms every moment as
-        # its own pass does, so the surface is the same bit for bit.
-        from fdrecon import DgpConfig, generate_dgp
+    @pytest.mark.parametrize(
+        "source",
+        ["dgp1", "dgp2", "dgp3", "dgp4", "dense", "fragments", "grid5", "grid21", "grid51",
+         "grid101", "single", "mixed", "bench_fragments"],
+    )
+    def test_covariance_equals_the_ten_pass_reference(self, source, monkeypatch):
+        # One prefix-sum pass per distinct right factor, run in blocks of
+        # grid columns, forms every moment as its own whole-grid pass does,
+        # so the surface is the same bit for bit at every block width: one
+        # column, 8 (L not a multiple of it, or below it) and the default.
+        from fdrecon import smoothing
 
-        rng = np.random.default_rng(38)
-        if source.startswith("dgp"):
-            dgp = int(source[-1])
-            cfg = DgpConfig(dgp=dgp, n=50, m=15 if dgp in (1, 2) else None, seed=dgp, replications=1)
-            ds, _ = generate_dgp(cfg, 0)
-        else:
-            curves = []
-            for i in range(40):
-                a = rng.uniform(0, 0.6) if source == "fragments" else rng.uniform(0, 0.25) * (i % 2)
-                b = a + 0.4 if source == "fragments" else 1.0 - rng.uniform(0, 0.25) * (i % 2)
-                u = np.sort(rng.uniform(a, b, 15 if source == "fragments" else 60))
-                curves.append(Curve(f"c{i}", u, np.sin(3 * u) * rng.normal() + 0.05 * rng.normal(size=u.size)))
-            ds = build_dataset(curves)
+        ds, h_mu = _ten_pass_sample(source)
         bw = Bandwidths.rule_of_thumb(ds)
-        mean = llk_mean(ds, ds.grid, bw.h_mu)
-        cov = llk_covariance(ds, mean, ds.grid, bw.h_gamma)
+        mean = llk_mean(ds, ds.grid, bw.h_mu if h_mu is None else h_mu)
         surface, mask, n_fallback = _covariance_ten_passes(ds, mean, ds.grid, bw.h_gamma, 5)
-        np.testing.assert_array_equal(cov.mask, mask)
-        np.testing.assert_array_equal(cov.surface, surface)
-        assert cov.diagnostics["n_fallback"] == n_fallback
+        sizes = np.array([c.n_obs for c in ds.curves])
+        per_column = 2 * (sizes.max() + 2) * sizes.size  # before- and after-sums
+        for bound in (per_column, 8 * per_column, smoothing.COV_BLOCK_ELEMENTS):
+            monkeypatch.setattr(smoothing, "COV_BLOCK_ELEMENTS", bound)
+            cov = llk_covariance(ds, mean, ds.grid, bw.h_gamma)
+            np.testing.assert_array_equal(cov.mask, mask)
+            np.testing.assert_array_equal(cov.surface, surface)
+            assert cov.diagnostics["n_fallback"] == n_fallback
         assert source != "fragments" or not mask.all()
 
     def test_noise_variance_target_by_target(self):
@@ -566,6 +611,43 @@ class TestBruteForceOracles:
         assert nv.diagnostics["n_pairs"] == s.size
         assert nv.diagnostics["frac_clipped"] == np.mean(want[ok] < 0)
         assert nv.sigma2 == pytest.approx(np.mean(np.clip(want[ok], 0, None)), rel=1e-12)
+
+
+class TestCovarianceWorkingSet:
+    """The covariance smoother's peak memory stays bounded as the sample grows."""
+
+    @staticmethod
+    def _peak_mb(curves):
+        import tracemalloc
+
+        ds = build_dataset(curves, domain=(0.0, 1.0), grid_size=51)
+        bw = Bandwidths.rule_of_thumb(ds)
+        mean = llk_mean(ds, ds.grid, bw.h_mu)
+        tracemalloc.start()
+        try:
+            llk_covariance(ds, mean, ds.grid, bw.h_gamma)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_fragments_peak(self):
+        # 1,000 fragments of 15 points: one whole-grid pass peaked at 29-30 MB.
+        rng = np.random.default_rng(61)
+        curves = []
+        for i in range(1000):
+            a = rng.uniform(0.0, 0.6)
+            u = np.sort(rng.uniform(a, a + 0.4, 15))
+            curves.append(Curve(f"f{i}", u, np.sin(3 * u) * rng.normal() + 0.05 * rng.normal(size=15)))
+        assert self._peak_mb(curves) <= 10.0
+
+    def test_long_curves_peak(self):
+        # 20 curves of 500 points: one whole-grid pass peaked at 18-19 MB.
+        rng = np.random.default_rng(62)
+        curves = []
+        for i in range(20):
+            u = np.sort(rng.uniform(0.0, 1.0, 500))
+            curves.append(Curve(f"c{i}", u, np.sin(3 * u) * rng.normal() + 0.05 * rng.normal(size=500)))
+        assert self._peak_mb(curves) <= 8.0
 
 
 class TestGroupedWindows:

@@ -19,10 +19,11 @@ more than the metric's bound, a fraction of the parent's median. A run
 that exits non-zero or reports ``correct: false`` is a failed run: its pair
 keeps its exit code, the tail of its stderr and its failed checks, the
 summary leaves it out and counts the failed runs per side, and the next
-pair runs. The file also records ``nproc`` and the Python, numpy and scipy
-versions. It is rewritten after every pair. Workloads already in an
-existing output file are kept, so one file can collect the runs of every
-workload.
+pair runs. A progress line per pair prints each side's ``op_p50_s``,
+``peak_rss_mb`` and ``setup_s``. The file also records ``nproc`` and the
+Python, numpy and scipy versions. It is rewritten after every pair.
+Workloads already in an existing output file are kept, so one file can
+collect the runs of every workload.
 
 Only the standard library is used.
 """
@@ -40,6 +41,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# End-to-end metrics the per-pair progress line prints for each side.
+PROGRESS = ("op_p50_s", "peak_rss_mb", "setup_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -168,7 +171,7 @@ def main(argv=None) -> int:
             pair[side] = run_benchmark(checkouts[side], args.workload, seed, args.seconds)
         pairs.append(pair)
         print(f"{args.workload} seed {seed}: " + ", ".join(
-            f"{side} op_p50_s {pair[side].get('metrics', {}).get('op_p50_s')!r}"
+            f"{side} " + " ".join(f"{name} {pair[side].get('metrics', {}).get(name)!r}" for name in PROGRESS)
             + ("" if passed(pair[side]) else f" FAILED (exit {pair[side]['exit_code']}, "
                                               f"{len(pair[side]['checks_failed'])} checks failed)")
             for side in SIDES
