@@ -16,8 +16,9 @@ from .reconstruct import (
     PROV_NON_ESTIMABLE,
     ReconstructedCurve,
     ReconstructionModel,
-    _Anchor,
-    _aligned_values,
+    _anchor_weights,
+    _ends,
+    _expansion,
     reconstruct_with_method,
 )
 from .smoothing import CovarianceEstimate, MeanEstimate
@@ -150,19 +151,19 @@ def _grid_scores(values_on_sub: np.ndarray, eigsys: EigenSystem, mean: MeanEstim
 
 
 def _edge_values(values_on_sub: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
-    """Gridded values at the block edges of a grid-aligned subdomain, rows (a_0, b_0, a_1, ...).
+    """Gridded values at the block edges of a grid-aligned subdomain, (a_0, b_0, a_1, ...).
 
     On such a subdomain the interval ends are the block edges. With one
-    row of values per curve, the result has one column per curve.
+    row of values per curve, the result has one row per curve.
     """
     edges = [i for s in eigsys.node_blocks for i in (s.start, s.stop - 1)]
-    return values_on_sub[..., edges].T
+    return values_on_sub[..., edges]
 
 
 # A later step: its subdomain and eigensystem, the estimable rows idx it
-# evaluates, the rows it newly covers at positions pos of idx, and its
-# aligned anchors per truncation.
-_Step = namedtuple("_Step", "r subdomain eigsys idx new pos anchors")
+# evaluates, the rows it newly covers at positions pos of idx, and how the
+# rows mix its interval ends (``_anchor_weights``).
+_Step = namedtuple("_Step", "r subdomain eigsys idx new pos weights")
 
 
 def _completion_plan(model: ReconstructionModel, covered: np.ndarray, plan: IterationPlan):
@@ -207,7 +208,8 @@ def _completion_plan(model: ReconstructionModel, covered: np.ndarray, plan: Iter
             stalled_at = r
             break
         covered[new] = True
-        steps.append(_Step(r, o_r, eigsys, idx, new, np.searchsorted(idx, new), {}))
+        weights = _anchor_weights(o_r.intervals, grid.points[idx])
+        steps.append(_Step(r, o_r, eigsys, idx, new, np.searchsorted(idx, new), weights))
     covered.flags.writeable = False
     model._plan_cache[key] = tuple(steps), stalled_at, covered
     return model._plan_cache[key]
@@ -232,7 +234,7 @@ def iterative_reconstruct(
 
     The later steps are planned once per first-step coverage and cached on
     the model: every curve reconstructed on it whose first step covers the
-    same points shares their windows, eigensystems and anchors. A curve
+    same points shares their windows, eigensystems and anchor weights. A curve
     whose coverage no other curve shares pays for the whole planning.
     """
     if method not in ("ano", "anoce", "ayes", "ayesce"):
@@ -250,13 +252,10 @@ def iterative_reconstruct(
         on_sub = values[step.subdomain.grid_indices]
         k_use = min(int(k), eigsys.k_available)
         xi = _grid_scores(on_sub, eigsys, model.mean)[:k_use]
+        ends = None
         if method.startswith("ayes"):
-            if k_use not in step.anchors:
-                step.anchors[k_use] = _Anchor(eigsys, model.mean, model.grid.points[idx], k_use)
-            x_ends = _edge_values(on_sub, eigsys)
-            vals = _aligned_values(eigsys, model.mean, idx, x_ends, xi, step.anchors[k_use])
-        else:
-            vals = model.mean.values[idx] + (eigsys.extrapolated[idx, :k_use] @ xi if k_use else 0.0)
+            ends = _ends(eigsys, model.mean, step.weights, k_use, _edge_values(on_sub, eigsys))
+        vals = _expansion(model.mean.values[idx], eigsys.extrapolated[idx, :k_use], xi, ends=ends)
         values[step.new] = vals[step.pos]
         provenance[step.new] = step.r
     values[~covered] = np.nan
@@ -342,9 +341,11 @@ def check_error_accumulation(
 
     def step_values(eig, inputs_on_sub, eval_idx):
         xi = (inputs_on_sub * eig.weights) @ eig.eigenfunctions
-        if method == "ano":
-            return xi @ eig.extrapolated[eval_idx].T
-        return _aligned_values(eig, zero_mean, eval_idx, _edge_values(inputs_on_sub, eig), xi.T).T
+        ends = None
+        if method == "ayes":
+            weights = _anchor_weights(eig.subdomain.intervals, grid.points[eval_idx])
+            ends = _ends(eig, zero_mean, weights, xi.shape[1], _edge_values(inputs_on_sub, eig))
+        return _expansion(zero_mean.values[eval_idx], eig.extrapolated[eval_idx], xi, ends=ends)
 
     x_o1 = paths[:, o1.grid_indices]
     step1_idx = np.nonzero(covered1)[0]

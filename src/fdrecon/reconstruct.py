@@ -219,7 +219,109 @@ def _scores(
         return ce_scores(curve, eigsys, model.cov, model.sigma2, model.mean, k)
     if route == "pace":
         return pace_scores(curve, eigsys, model.cov, model.sigma2, model.mean, k)
-    raise UsageError(f"unknown scores method {route!r} (expected 'integral' or 'ce')")
+    raise UsageError(f"unknown scores method {route!r} (expected 'integral', 'ce' or 'pace')")
+
+
+def _anchor_weights(intervals, u: np.ndarray):
+    """How each point of u mixes the interval ends (a_0, b_0, a_1, b_1, ...).
+
+    Returns (lo, hi, w): the point takes (1 - w) * end[lo] + w * end[hi].
+    Points at or before the first interval take a_0 and points at or after
+    the last take its end; between two intervals the facing ends mix
+    linearly; points inside an interval take the nearest end. Where a point
+    takes one end, lo = hi and w = 0.
+    """
+    n = u.size
+    lo = np.zeros(n, dtype=int)
+    hi = np.zeros(n, dtype=int)
+    w = np.zeros(n)
+    done = u <= intervals[0][0]
+    sel = (u >= intervals[-1][1]) & ~done
+    lo[sel] = hi[sel] = 2 * len(intervals) - 1
+    done |= sel
+    for j in range(len(intervals) - 1):
+        b_j, a_next = intervals[j][1], intervals[j + 1][0]
+        sel = (u > b_j) & (u < a_next) & ~done
+        lo[sel], hi[sel] = 2 * j + 1, 2 * j + 2
+        w[sel] = (u[sel] - b_j) / (a_next - b_j)
+        done |= sel
+    inside = ~done
+    if np.any(inside):
+        ends = np.array(intervals).ravel()
+        lo[inside] = hi[inside] = np.argmin(np.abs(u[inside][:, None] - ends[None, :]), axis=1)
+    return lo, hi, w
+
+
+def _mix(ends: np.ndarray, lo, hi, w) -> np.ndarray:
+    """Rows of values at the ends mixed by ``_anchor_weights``, one row per point."""
+    if ends.ndim == 2:
+        w = w[:, None]
+    mixed = ends[hi]
+    mixed *= w
+    at_lo = ends[lo]
+    at_lo *= 1 - w
+    mixed += at_lo
+    return mixed
+
+
+def _ends(eigsys: EigenSystem, mean: MeanEstimate, weights, k: int, x, ok=True) -> tuple:
+    """``_aligned``'s ends for one curve on eigsys, or for several with one row of x each."""
+    at = np.array(eigsys.subdomain.intervals).ravel()
+    return weights, mean.at(at), eigsys.end_values[:, :k], x, ok
+
+
+def _expansion(mean_u, basis_u, xi, group=None, ends: tuple | None = None) -> np.ndarray:
+    """The truncated expansion mu + sum_{k <= K} xi_k psi_k at some points, plain or aligned.
+
+    Every truncated expansion of the package is formed here: the
+    reconstructions, the iterative steps, the GCV splits and the
+    error-accumulation check. ``mean_u`` and ``basis_u`` hold the mean and
+    the extrapolated basis psi at the points, one row per point, and ``xi``
+    K scores, or one row of K scores per curve.
+
+    Without ``group`` the result is the expansion at K = xi.shape[-1], one
+    row per curve when xi has them. With ``group``, point p belongs to the
+    curve of row group[p] of xi, and column K - 1 of the result holds the
+    expansion at K for every K: the running sum GCV scores, added column by
+    column as ``np.cumsum`` adds.
+
+    ``ends`` aligns the expansion at the interval ends: it holds the
+    arguments of ``_aligned`` after the mean and basis.
+
+    A GCV split differs from a reconstruction on purpose in three ways: its
+    integral scores carry the curve to the subdomain ends
+    (``carry_to_ends``), it is evaluated at its pseudo-missing points rather
+    than at grid points, and its ends are smoothed on the split's points.
+    """
+    if ends is not None:
+        mean_u, basis_u = _aligned(mean_u, basis_u, *ends)
+    if group is None:
+        return mean_u + (basis_u @ xi if xi.ndim == 1 else xi @ basis_u.T)
+    values = xi[group]
+    values *= basis_u
+    for k in range(1, values.shape[1]):  # np.cumsum along the rows, without a second array
+        values[:, k] += values[:, k - 1]
+    values += mean_u[:, None]
+    return values
+
+
+def _aligned(mean_u, basis_u, weights, mean_ends, basis_ends, x, ok):
+    """The mean and basis terms of the aligned expansion at the points.
+
+    Row r of ``mean_ends`` and ``basis_ends`` holds the mean and the
+    eigenfunctions at an interval end, x[r] the curve's value there and
+    ok[r] whether its end fit held (True for gridded values); x may hold
+    one row per curve, whose end fits then all hold. ``weights`` are the
+    ``_anchor_weights`` of the points over the rows. With d_end =
+    x_end - plain_K(end) where the end fit held and 0 where it failed,
+    aligned_K(u) = plain_K(u) + mix_u(d). As d is linear in the scores,
+    aligned_K is the expansion with mean mu(u) + mix_u(ok (x - mu(end)))
+    and basis psi_k(u) - mix_u(ok psi_k(end)), at every K: a failed end
+    drops out at every K, as if filled with plain_K(end).
+    """
+    shift = np.where(ok, x - mean_ends, 0.0)
+    tilt = np.where(np.reshape(ok, (-1, 1)), basis_ends, 0.0)
+    return mean_u + _mix(shift.T, *weights).T, basis_u - _mix(tilt, *weights)
 
 
 def reconstruct_ano(
@@ -236,112 +338,11 @@ def reconstruct_ano(
     Evaluates mean plus the score-weighted extrapolated basis on every
     estimable grid point: on the observed part this is the functional-PCA
     estimate of the curve, on the missing part the optimal-reconstruction
-    estimate.
+    estimate. With ``scores_method='pace'`` the basis and the scores are the
+    full domain's, which is ``reconstruct_pace``.
     """
-    grid = model.grid
-    if subdomain is None:
-        subdomain = curve_subdomain(curve, grid)
-    eigsys = model.eigensystem_for(subdomain)
-    scores = _scores(scores_method, curve, model, eigsys, k, quadrature)
-    ext = eigsys.extrapolated[:, :k]
-    values = model.mean.values + (ext @ scores.values if k else 0.0)
-    provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
-    provenance[subdomain.grid_indices] = PROV_OBSERVED
-    bad = ~np.isfinite(values)
-    values = np.where(bad, np.nan, values)
-    provenance[bad] = PROV_NON_ESTIMABLE
-    ev = error_variance(eigsys, model.cov, grid.points, k) if include_error_variance else None
-    method = "anoce" if scores_method == "ce" else "ano"
-    return ReconstructedCurve(
-        curve.id, grid, values, provenance, k, method, ev,
-        diagnostics={"score_flags": list(scores.flags)},
-    )
-
-
-def _anchor_weights(intervals, u: np.ndarray):
-    """How each point of u mixes the anchor rows (a_0, b_0, a_1, b_1, ...).
-
-    Returns (lo, hi, w, direct): the point takes (1 - w) * row[lo] +
-    w * row[hi]. Points at or before the first interval take a_0 and points
-    at or after the last take its end (w = 0); between two intervals the
-    facing ends mix linearly; points inside an interval take the nearest
-    end as it is (direct).
-    """
-    n = u.size
-    lo = np.zeros(n, dtype=int)
-    hi = np.zeros(n, dtype=int)
-    w = np.zeros(n)
-    done = u <= intervals[0][0]
-    sel = (u >= intervals[-1][1]) & ~done
-    lo[sel] = hi[sel] = 2 * len(intervals) - 1
-    done |= sel
-    for j in range(len(intervals) - 1):
-        b_j, a_next = intervals[j][1], intervals[j + 1][0]
-        sel = (u > b_j) & (u < a_next) & ~done
-        lo[sel], hi[sel] = 2 * j + 1, 2 * j + 2
-        w[sel] = (u[sel] - b_j) / (a_next - b_j)
-        done |= sel
-    direct = ~done
-    if np.any(direct):
-        ends = np.array(intervals).ravel()
-        lo[direct] = hi[direct] = np.argmin(np.abs(u[direct][:, None] - ends[None, :]), axis=1)
-    return lo, hi, w, direct
-
-
-def _mix(rows: np.ndarray, lo, hi, w, direct) -> np.ndarray:
-    """Anchor rows mixed by ``_anchor_weights``, one output row per point."""
-    r_lo, r_hi = rows[lo], rows[hi]
-    if r_lo.ndim == 2:
-        w, direct = w[:, None], direct[:, None]
-    return np.where(direct, r_lo, (1 - w) * r_lo + w * r_hi)
-
-
-class _Anchor:
-    """The boundary anchor of the aligned reconstruction at the points u.
-
-    Every point mixes the rows (a_0, b_0, a_1, b_1, ...) of values at the
-    subdomain interval ends as ``_anchor_weights`` says: ``mean`` and
-    ``phi`` hold the mixed mean and eigenfunction values, ``shift`` mixes
-    a curve's own end values. Those come from the local-linear smoother for
-    a raw curve (``_anchor_values``) and are the block-edge values for a
-    gridded pseudo-curve.
-    """
-
-    def __init__(self, eigsys: EigenSystem, mean: MeanEstimate, u: np.ndarray, k: int):
-        intervals = eigsys.subdomain.intervals
-        self.weights = _anchor_weights(intervals, u)
-        self.mean = _mix(mean.at(np.array(intervals).ravel()), *self.weights)
-        self.phi = _mix(eigsys.end_values[:, :k], *self.weights)
-
-    def shift(self, x_ends: np.ndarray, mean_u: np.ndarray, group=None) -> np.ndarray:
-        """(anchor value + mean) - anchor mean at u; x_ends may hold one column per curve.
-
-        With ``group``, x_ends holds one row per curve and point i takes the
-        end values of row group[i].
-        """
-        lo, hi, w, direct = self.weights
-        if group is not None:
-            n_ends = x_ends.shape[1]
-            x_ends, lo, hi = x_ends.ravel(), group * n_ends + lo, group * n_ends + hi
-        ax = _mix(x_ends, lo, hi, w, direct)
-        amu = self.mean
-        if ax.ndim == 2:
-            mean_u, amu = mean_u[:, None], amu[:, None]
-        return ax + mean_u - amu
-
-
-def _aligned_values(eigsys: EigenSystem, mean: MeanEstimate, idx, x_ends, xi, anchor=None) -> np.ndarray:
-    """The aligned expansion on the grid rows idx from the end values x_ends and scores xi.
-
-    Evaluates (anchor + mean) - anchor mean + (basis - anchor basis) @ xi;
-    with one column of xi and of x_ends per curve, one column per curve.
-    ``anchor``, when given, is the ``_Anchor`` at those rows for len(xi) terms.
-    """
-    k = xi.shape[0]
-    if anchor is None:
-        anchor = _Anchor(eigsys, mean, eigsys.grid.points[idx], k)
-    contrib = (eigsys.extrapolated[idx, :k] - anchor.phi) @ xi if k else 0.0
-    return anchor.shift(x_ends, mean.values[idx]) + contrib
+    return _reconstruct(False, scores_method, curve, model, k, subdomain, quadrature,
+                        include_error_variance)
 
 
 def reconstruct_ayes(
@@ -358,71 +359,55 @@ def reconstruct_ayes(
     On the observed part the curve itself is smoothed locally; on the
     missing part the truncated expansion is shifted so it connects with the
     smoothed value at the nearest boundary point. Between two observed
-    intervals the anchor is the linear interpolation of the two facing
-    boundary values; beyond the outermost interval the nearest extreme is
-    used.
+    intervals the shift is the linear interpolation of the two facing
+    boundary residuals; beyond the outermost interval the nearest extreme is
+    used. An end whose local fit fails shifts nothing (``_aligned``).
     """
+    return _reconstruct(True, scores_method, curve, model, k, subdomain, quadrature,
+                        include_error_variance)
+
+
+def _reconstruct(aligned, route, curve, model, k, subdomain, quadrature, include_error_variance):
+    """``reconstruct_ayes`` if aligned, else ``reconstruct_ano``, with scores by route."""
     grid = model.grid
     if subdomain is None:
         subdomain = curve_subdomain(curve, grid)
-    eigsys = model.eigensystem_for(subdomain)
-    scores = _scores(scores_method, curve, model, eigsys, k, quadrature)
+    # Pace scores take the full domain's eigensystem, and refuse the subdomain's when aligned.
+    full = route == "pace" and not aligned
+    eigsys = model.full_eigensystem() if full else model.eigensystem_for(subdomain)
+    scores = _scores(route, curve, model, eigsys, k, quadrature)
     o_idx = subdomain.grid_indices
-
-    values = np.full(grid.size, np.nan)
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
     provenance[o_idx] = PROV_OBSERVED
-    m_idx = np.flatnonzero(provenance == PROV_RECONSTRUCTED)
-
-    # One local-linear pass of the curve smooths the observed grid points and
-    # the interval ends; its windows are per target point.
-    ends = np.array(eigsys.subdomain.intervals).ravel()
-    smoothed, ok = _smoothed_on(
-        curve.u, curve.y, np.concatenate([grid.points[o_idx], ends]), model.bandwidths.h_x
-    )
-    end_smoothing = (smoothed[o_idx.size :], ok[o_idx.size :])
-    smoothed, ok = smoothed[: o_idx.size], ok[: o_idx.size]
-
-    # Observed part: the curve's smooth, with the expansion value as
-    # fallback where the local fit fails.
-    ano_on_o = model.mean.values[o_idx] + (
-        eigsys.extrapolated[o_idx, :k] @ scores.values if k else 0.0
-    )
-    values[o_idx] = np.where(ok, smoothed, ano_on_o)
-    n_smooth_fallback = int((~ok).sum())
-
-    x_ends = _anchor_values(end_smoothing, eigsys, model, scores, k)
-
-    if m_idx.size:
-        vals_m = _aligned_values(eigsys, model.mean, m_idx, x_ends, scores.values)
-        values[m_idx] = vals_m
-        bad = m_idx[~np.isfinite(vals_m)]
-        values[bad] = np.nan
-        provenance[bad] = PROV_NON_ESTIMABLE
-
+    ext = eigsys.extrapolated[:, :k]
+    values = _expansion(model.mean.values, ext, scores.values)
+    diagnostics = {"score_flags": list(scores.flags)}
+    if aligned:
+        # One local-linear pass of the curve smooths the observed grid points
+        # and the interval ends; its windows are per target point.
+        ends = np.array(subdomain.intervals).ravel()
+        smoothed, ok = _smoothed_on(
+            curve.u, curve.y, np.concatenate([grid.points[o_idx], ends]), model.bandwidths.h_x
+        )
+        x_ends, end_ok = smoothed[o_idx.size :], ok[o_idx.size :]
+        # Observed part: the curve's smooth, the expansion where the local fit fails.
+        values[o_idx] = np.where(ok[: o_idx.size], smoothed[: o_idx.size], values[o_idx])
+        m_idx = np.flatnonzero(provenance == PROV_RECONSTRUCTED)
+        weights = _anchor_weights(subdomain.intervals, grid.points[m_idx])
+        values[m_idx] = _expansion(
+            model.mean.values[m_idx], ext[m_idx], scores.values,
+            ends=_ends(eigsys, model.mean, weights, k, x_ends, end_ok),
+        )
+        diagnostics.update(n_smoother_fallback=int((~ok[: o_idx.size]).sum()),
+                           n_anchor_fallback=int((~end_ok).sum()))
+    bad = ~np.isfinite(values)
+    values[bad] = np.nan
+    provenance[bad] = PROV_NON_ESTIMABLE
     ev = error_variance(eigsys, model.cov, grid.points, k) if include_error_variance else None
-    method = "ayesce" if scores_method == "ce" else "ayes"
+    method = "pace" if route == "pace" else ("ayes" if aligned else "ano") + "ce" * (route == "ce")
     return ReconstructedCurve(
-        curve.id, grid, values, provenance, k, method, ev,
-        diagnostics={
-            "score_flags": list(scores.flags),
-            "n_smoother_fallback": n_smooth_fallback,
-            "n_anchor_fallback": int((~end_smoothing[1]).sum()),
-        },
+        curve.id, grid, values, provenance, k, method, ev, diagnostics=diagnostics
     )
-
-
-def _anchor_values(smoothing, eigsys, model, scores, k) -> np.ndarray:
-    """Smoothed values at the interval ends, the expansion value where the fit failed.
-
-    ``scores`` is one curve's ScoreVector, or an array with one curve's
-    scores per row; then ``smoothing`` holds one row of end values per curve.
-    """
-    x_vals, ok = smoothing
-    xi = scores.values if isinstance(scores, ScoreVector) else scores
-    fill = model.mean.at(np.array(eigsys.subdomain.intervals).ravel())
-    fill = fill + xi[..., :k] @ eigsys.end_values[:, :k].T
-    return np.where(ok, x_vals, fill)
 
 
 def reconstruct_pace(
@@ -431,19 +416,11 @@ def reconstruct_pace(
     k: int,
     include_error_variance: bool = False,
 ) -> ReconstructedCurve:
-    """Joint approximation of observed and missing parts with the full-domain basis."""
-    grid = model.grid
-    eigsys = model.full_eigensystem()
-    scores = _scores("pace", curve, model, eigsys, k)
-    phi = eigsys.extrapolated[:, :k]
-    values = model.mean.values + (phi @ scores.values if k else 0.0)
-    provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
-    provenance[curve_subdomain(curve, grid).grid_indices] = PROV_OBSERVED
-    ev = error_variance(eigsys, model.cov, grid.points, k) if include_error_variance else None
-    return ReconstructedCurve(
-        curve.id, grid, values, provenance, k, "pace", ev,
-        diagnostics={"score_flags": list(scores.flags)},
-    )
+    """Joint approximation of observed and missing parts with the full-domain basis.
+
+    The ano reconstruction on the full-domain eigensystem with pace scores.
+    """
+    return reconstruct_ano(curve, model, k, "pace", include_error_variance=include_error_variance)
 
 
 class _RidgeOperator:
@@ -819,10 +796,9 @@ class _Expansion:
     Part j of ``parts`` uses fits[j] = (eigensystem, candidates) up to its
     largest candidate. A loop over the parts evaluates what needs a part's
     eigensystem: its extrapolated basis (``basis``, zero padded) and, for
-    the aligned methods, its anchors and interval ends. The interval-end
-    smoothing of every split is one smoother pass whose windows stay within
-    a split, and the residuals of every split and K come from one
-    cumulative sum.
+    the aligned methods, its interval ends. The interval-end smoothing of
+    every split is one smoother pass whose windows stay within a split, and
+    the residuals of every split and K come from one ``_expansion``.
     """
 
     def __init__(self, batch: _SplitBatch, parts, fits, model):
@@ -843,27 +819,29 @@ class _Expansion:
         self._aligned = None
 
     def aligned(self):
-        """Per part its anchor and its splits' smoothed interval ends, and the aligned basis.
-
-        The aligned basis is the basis less the anchor basis.
-        """
+        """The aligned mean and basis terms, from every kept split's ends smoothed on its points."""
         if self._aligned is None:
-            anchors, basis, ends, t_group = {}, self.basis.copy(), [], []
+            n, k_max = self.basis.shape
+            lo, hi, w = np.zeros(n, int), np.zeros(n, int), np.zeros(n)
+            at, basis, group = [], [], []
             for j, splits, rows in self.runs:
                 eigsys, candidates = self.fits[j]
-                k = max(candidates)
-                anchors[j] = _Anchor(eigsys, self.model.mean, self.u[rows], k)
-                basis[rows, :k] -= anchors[j].phi
-                anchors[j].phi = None  # only the shift is needed from here on
-                part_ends = np.array(eigsys.subdomain.intervals).ravel()
-                ends.append(np.tile(part_ends, splits.stop - splits.start))
-                t_group.append(np.repeat(np.arange(splits.start, splits.stop), part_ends.size))
-            u, y, group = self.obs
-            smoothed = _smoothed_on(
-                u, y, np.concatenate(ends), self.model.bandwidths.h_x,
-                groups=(group, np.concatenate(t_group)),
+                intervals, k = eigsys.subdomain.intervals, max(candidates)
+                n_ends, n_splits = 2 * len(intervals), splits.stop - splits.start
+                # A point's end rows are its split's, after those of the splits before.
+                first = sum(map(len, at)) + n_ends * (self.group[rows] - splits.start)
+                lo[rows], hi[rows], w[rows] = _anchor_weights(intervals, self.u[rows])
+                lo[rows], hi[rows] = lo[rows] + first, hi[rows] + first
+                at.append(np.tile(np.ravel(intervals), n_splits))
+                padded = np.pad(eigsys.end_values[:, :k], ((0, 0), (0, k_max - k)))
+                basis.append(np.tile(padded, (n_splits, 1)))
+                group.append(np.repeat(np.arange(splits.start, splits.stop), n_ends))
+            at, group = np.concatenate(at), np.concatenate(group)
+            u, y, obs_group = self.obs
+            x, ok = _smoothed_on(u, y, at, self.model.bandwidths.h_x, groups=(obs_group, group))
+            self._aligned = _aligned(
+                self.mean, self.basis, (lo, hi, w), self.model.mean.at(at), np.vstack(basis), x, ok
             )
-            self._aligned = anchors, basis, smoothed
         return self._aligned
 
     def rss(self, xi: np.ndarray, aligned: bool) -> np.ndarray:
@@ -873,25 +851,9 @@ class _Expansion:
         expansion at the split's smoothed interval ends.
         """
         xi = xi[self.keep]
-        base, basis = self.mean, self.basis
-        if aligned:
-            anchors, basis, (values, ok) = self.aligned()
-            base, at = self.mean.copy(), 0
-            for j, splits, rows in self.runs:
-                eigsys, candidates = self.fits[j]
-                n_ends = 2 * len(eigsys.subdomain.intervals)
-                ends = slice(at, at + n_ends * (splits.stop - splits.start))
-                at = ends.stop
-                smoothing = (values[ends].reshape(-1, n_ends), ok[ends].reshape(-1, n_ends))
-                x_ends = _anchor_values(smoothing, eigsys, self.model, xi[splits], max(candidates))
-                split = self.group[rows] - splits.start
-                base[rows] = anchors[j].shift(x_ends, self.mean[rows], split)
-        # (base + cumulative expansion) - y, formed in place; non-finite residuals count as 0.
-        resid = xi[self.group]
-        resid *= basis
-        for k in range(1, resid.shape[1]):  # np.cumsum along the rows, without a second array
-            resid[:, k] += resid[:, k - 1]
-        resid += base[:, None]
+        mean, basis = self.aligned() if aligned else (self.mean, self.basis)
+        # The expansion less y, formed in place; non-finite residuals count as 0.
+        resid = _expansion(mean, basis, xi, self.group)
         resid -= self.y[:, None]
         resid[~np.isfinite(resid)] = 0.0
         starts, sizes = _segments(self.group, xi.shape[0])
@@ -1062,9 +1024,5 @@ def reconstruct_with_method(
                                  include_error_variance=include_error_variance)
     if k is None:
         raise UsageError(f"method {name!r} needs a truncation K")
-    if name == "pace":
-        return reconstruct_pace(curve, model, k, include_error_variance=include_error_variance)
-    scores_method = _SCORE_ROUTES[name]
-    fn = reconstruct_ayes if name.startswith("ayes") else reconstruct_ano
-    return fn(curve, model, k, scores_method, quadrature=quadrature,
-              include_error_variance=include_error_variance)
+    return _reconstruct(name.startswith("ayes"), _SCORE_ROUTES[name], curve, model, k, None,
+                        quadrature, include_error_variance)

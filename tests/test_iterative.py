@@ -27,7 +27,13 @@ from fdrecon.iterative import (
     _estimable_rows,
     _grid_scores,
 )
-from fdrecon.reconstruct import PROV_NON_ESTIMABLE, ReconstructedCurve, _aligned_values
+from fdrecon.reconstruct import (
+    PROV_NON_ESTIMABLE,
+    ReconstructedCurve,
+    _anchor_weights,
+    _ends,
+    _expansion,
+)
 from fdrecon.simulation import DgpConfig
 
 
@@ -117,10 +123,11 @@ def reference_from_grid(values_on_sub, eigsys, model, method, k):
     k_use = min(int(k), eigsys.k_available)
     xi = _grid_scores(values_on_sub, eigsys, model.mean)[:k_use]
     idx = np.nonzero(_estimable_rows(eigsys))[0]
+    ends = None
     if method.startswith("ayes"):
-        vals = _aligned_values(eigsys, model.mean, idx, _edge_values(values_on_sub, eigsys), xi)
-    else:
-        vals = model.mean.values[idx] + (eigsys.extrapolated[idx, :k_use] @ xi if k_use else 0.0)
+        weights = _anchor_weights(eigsys.subdomain.intervals, model.grid.points[idx])
+        ends = _ends(eigsys, model.mean, weights, k_use, _edge_values(values_on_sub, eigsys))
+    vals = _expansion(model.mean.values[idx], eigsys.extrapolated[idx, :k_use], xi, ends=ends)
     return vals, idx
 
 

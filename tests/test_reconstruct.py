@@ -203,7 +203,6 @@ class TestReconstructAyes:
         rec = reconstruct_ayes(curve, model, k=k, subdomain=sub, quadrature="trapezoid")
 
         from fdrecon import integral_scores, llk_curve
-        from fdrecon.reconstruct import _Anchor, _anchor_values, _mix
 
         scores = integral_scores(curve, eig, model.mean, k, quadrature="trapezoid")
         at = 0.45
@@ -211,18 +210,16 @@ class TestReconstructAyes:
         assert w == pytest.approx(0.5)
         x_b1 = llk_curve(curve, 0.3, model.bandwidths.h_x)
         x_a2 = llk_curve(curve, 0.6, model.bandwidths.h_x)
-        anchor = _Anchor(eig, model.mean, np.array([at]), k)
-        x_ends = _anchor_values(end_smoothing(curve, eig, model), eig, model, scores, k)
-        ax, amu, aphi = _mix(x_ends, *anchor.weights), anchor.mean, anchor.phi
-        assert ax[0] == pytest.approx((1 - w) * x_b1 + w * x_a2, abs=1e-10)
+        x_ends, ok = end_smoothing(curve, eig, model)
+        assert ok.all()
+        assert x_ends[1:3] == pytest.approx([x_b1, x_a2], abs=1e-10)
+        # The anchor mixes the facing ends' values, mean and eigenfunctions alike.
+        ax = (1 - w) * x_b1 + w * x_a2
+        amu = (1 - w) * model.mean.at(0.3) + w * model.mean.at(0.6)
+        aphi = (1 - w) * eig.phi_at([0.3], k)[0] + w * eig.phi_at([0.6], k)[0]
         gi = int(np.argmin(np.abs(grid.points - at)))
         ext = eig.extrapolated[gi, :k]
-        expected = (
-            ax[0]
-            + model.mean.values[gi]
-            - amu[0]
-            + float((ext - aphi[0]) @ scores.values)
-        )
+        expected = ax + model.mean.values[gi] - amu + float((ext - aphi) @ scores.values)
         assert rec.values[gi] == pytest.approx(expected, abs=1e-10)
 
     def test_finite_rank_recovery(self):
@@ -270,6 +267,116 @@ class TestReconstructPace:
 
         with pytest.raises(NotEstimableError, match="iterative"):
             reconstruct_pace(curve, model, k=1)
+
+
+class TestOneExpansion:
+    """Every reconstruction and every GCV split is the one truncated-expansion kernel."""
+
+    def test_ayes_is_ano_plus_interpolated_end_residuals(self):
+        # One observation within h_x of a_1 = 0.6: that end fit fails and
+        # drops out, so between the intervals the shift decays from b_0's
+        # residual to nothing.
+        from fdrecon import integral_scores
+
+        model = rank3_model(grid_size=101)
+        grid = model.grid
+        rng = np.random.default_rng(12)
+        u = np.concatenate([
+            np.sort(rng.uniform(0.0, 0.3, 60)), [0.6], np.sort(rng.uniform(0.7, 1.0, 60))
+        ])
+        curve = Curve("t", u, rank3_curve_values(u, rng.normal(size=3)) + 0.05 * np.sin(9 * u))
+        sub = Subdomain.from_indices(
+            grid, np.nonzero((grid.points <= 0.3) | (grid.points >= 0.6))[0]
+        )
+        eig = model.eigensystem_for(sub)
+        k = 2
+        ano = reconstruct_ano(curve, model, k, subdomain=sub, quadrature="trapezoid")
+        ayes = reconstruct_ayes(curve, model, k, subdomain=sub, quadrature="trapezoid")
+        x, ok = end_smoothing(curve, eig, model)
+        assert ok.tolist() == [True, True, False, True]
+        assert ayes.diagnostics["n_anchor_fallback"] == 1
+
+        xi = integral_scores(curve, eig, model.mean, k, quadrature="trapezoid").values
+        ends = np.array(sub.intervals).ravel()
+        plain_ends = model.mean.at(ends) + eig.end_values[:, :k] @ xi
+        missing = ayes.provenance == PROV_RECONSTRUCTED
+        w = (grid.points[missing] - 0.3) / (0.6 - 0.3)
+        assert np.all((w > 0) & (w < 1))
+        shift = (1 - w) * (x[1] - plain_ends[1])
+        np.testing.assert_allclose(
+            ayes.values[missing], ano.values[missing] + shift, rtol=1e-13, atol=1e-13
+        )
+        assert np.array_equal(ayes.provenance, ano.provenance)
+
+    def test_pace_is_ano_on_the_full_eigensystem(self):
+        from fdrecon import pace_scores
+
+        model = rank3_model()
+        grid = model.grid
+        rng = np.random.default_rng(13)
+        u = np.sort(rng.uniform(0.1, 0.6, 30))
+        curve = Curve("t", u, rank3_curve_values(u, rng.normal(size=3)))
+        rec = reconstruct_pace(curve, model, k=3)
+        eig = model.full_eigensystem()
+        xi = pace_scores(curve, eig, model.cov, model.sigma2, model.mean, 3).values
+        assert np.array_equal(rec.values, model.mean.values + eig.extrapolated[:, :3] @ xi)
+        via_ano = reconstruct_ano(curve, model, 3, scores_method="pace")
+        assert via_ano.method == rec.method == "pace"
+        assert np.array_equal(via_ano.values, rec.values)
+        assert np.array_equal(via_ano.provenance, rec.provenance)
+        assert np.all(rec.provenance[curve_subdomain(curve, grid).grid_indices] == PROV_OBSERVED)
+
+    def test_unknown_score_route_names_every_route(self):
+        from fdrecon import UsageError
+
+        model = rank3_model()
+        u = np.linspace(0.2, 0.7, 20)
+        curve = Curve("t", u, MU(u))
+        with pytest.raises(UsageError, match=r"expected 'integral', 'ce' or 'pace'"):
+            reconstruct_ano(curve, model, 2, scores_method="bogus")
+
+    def test_gcv_residual_is_the_one_curve_expansion(self):
+        # Scored at a DGP-1 target's part, some splits' end fits fail; at
+        # every K, each such split's GCV residual is that of the one-curve
+        # expansion at its pseudo-missing points, with the GCV's scores.
+        from fdrecon import DgpConfig, generate_dgp
+        from fdrecon.reconstruct import (
+            _Expansion, _SplitBatch, _anchor_weights, _ends, _expansion, _gcv_candidates,
+            _split_scores,
+        )
+        from fdrecon.smoothing import _smoothed_on
+
+        cfg = DgpConfig(dgp=1, n=50, m=15, seed=1, replications=1, n_targets=5)
+        ds, targets = generate_dgp(cfg, 0)
+        model = fit_reconstruction_model(ds)
+        o_sub = curve_subdomain(targets.curves[4], model.grid)
+        batch = _SplitBatch(ds, [o_sub], 0.1)
+        eigsys, candidates = _gcv_candidates("ayes", model, o_sub, batch.n_complete, None)
+        k = max(candidates)
+        xi, errors = _split_scores("integral", batch, [0], [eigsys], [k], model, "riemann")
+        expansion = _Expansion(batch, [0], {0: (eigsys, candidates)}, model)
+        rss = expansion.rss(xi, aligned=True)
+
+        at = np.array(o_sub.intervals).ravel()
+        u_obs, y_obs, g_obs = batch.obs
+        u_miss, y_miss, g_miss = batch.miss
+        checked = 0
+        for s in range(batch.n):
+            x, ok = _smoothed_on(u_obs[g_obs == s], y_obs[g_obs == s], at, model.bandwidths.h_x)
+            if ok.all() or errors[s] is not None:
+                continue
+            checked += 1
+            u, y = u_miss[g_miss == s], y_miss[g_miss == s]
+            weights = _anchor_weights(o_sub.intervals, u)
+            for kk in range(1, k + 1):
+                values = _expansion(
+                    model.mean.at(u), eigsys.extrapolated_at(u, kk), xi[s, :kk],
+                    ends=_ends(eigsys, model.mean, weights, kk, x, ok),
+                )
+                resid = values - y
+                resid[~np.isfinite(resid)] = 0.0
+                assert rss[s, kk - 1] == pytest.approx(np.mean(resid**2), rel=1e-12)
+        assert checked
 
 
 class TestReconstructKraus:
@@ -562,13 +669,38 @@ def end_smoothing(curve, eigsys, model):
     return _smoothed_on(curve.u, curve.y, ends, model.bandwidths.h_x)
 
 
+def reference_aligned(curve, u, eigsys, model, xi):
+    """The aligned expansion at u for every K up to len(xi), one column per K, K by K.
+
+    At each K, an interval end takes the curve's smoothed value where its
+    local fit held and the plain expansion's value at that K where it
+    failed; a point mixes the ends' values, mean and eigenfunctions by
+    ``_anchor_weights`` and adds the rest of the expansion.
+    """
+    from fdrecon.reconstruct import _anchor_weights
+
+    ends = np.array(eigsys.subdomain.intervals).ravel()
+    x, ok = end_smoothing(curve, eigsys, model)
+    lo, hi, w = _anchor_weights(eigsys.subdomain.intervals, u)
+
+    def mix(at_ends):
+        wk = w.reshape((-1,) + (1,) * (at_ends.ndim - 1))
+        return (1 - wk) * at_ends[lo] + wk * at_ends[hi]
+
+    out = np.empty((u.size, xi.size))
+    for k in range(1, xi.size + 1):
+        phi_ends = eigsys.end_values[:, :k]
+        x_k = np.where(ok, x, model.mean.at(ends) + phi_ends @ xi[:k])
+        anchor = mix(x_k) + model.mean.at(u) - mix(model.mean.at(ends))
+        out[:, k - 1] = anchor + (eigsys.extrapolated_at(u, k) - mix(phi_ends)) @ xi[:k]
+    return out
+
+
 def reference_truncations_gcv(
     methods, model, dataset, target_m, k_candidates=None, margin_fraction=0.1, quadrature="riemann"
 ):
     from fdrecon import DataError, FdreconError, InsufficientLocalDataError, NotEstimableError
-    from fdrecon.reconstruct import (
-        _SCORE_ROUTES, _Anchor, _anchor_values, _gcv_candidates, _gcv_choice, _scores,
-    )
+    from fdrecon.reconstruct import _SCORE_ROUTES, _gcv_candidates, _gcv_choice, _scores
 
     o_sub, splits = reference_splits(model, dataset, target_m, margin_fraction)
     n_complete = len(splits)
@@ -595,19 +727,17 @@ def reference_truncations_gcv(
             u_miss, y_miss = c.u[~inside], c.y[~inside]
             try:
                 scores = _scores(_SCORE_ROUTES[method], pseudo, model, eigsys, k, quadrature, True)
-                base, basis = model.mean.at(u_miss), eigsys.extrapolated_at(u_miss, k)
                 if method in ("ayes", "ayesce"):
-                    anchor = _Anchor(eigsys, model.mean, u_miss, k)
-                    smoothing = end_smoothing(pseudo, eigsys, model)
-                    base = anchor.shift(_anchor_values(smoothing, eigsys, model, scores, k), base)
-                    basis = basis - anchor.phi
+                    preds = reference_aligned(pseudo, u_miss, eigsys, model, scores.values)
+                else:
+                    base, basis = model.mean.at(u_miss), eigsys.extrapolated_at(u_miss, k)
+                    preds = base[:, None] + np.cumsum(basis * scores.values[None, :], axis=1)
             except (NotEstimableError, InsufficientLocalDataError, DataError):
                 st["skipped"] += 1
                 continue
             except FdreconError as exc:
                 st["error"] = exc
                 continue
-            preds = base[:, None] + np.cumsum(basis * scores.values[None, :], axis=1)
             resid = preds - y_miss[:, None]
             resid = np.where(np.isfinite(resid), resid, 0.0)
             st["rss"] += np.sum(resid * resid, axis=0) / y_miss.size
