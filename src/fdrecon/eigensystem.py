@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -49,11 +50,13 @@ class Subdomain:
             raise DataError("subdomain needs one interval per contiguous run of grid indices")
         object.__setattr__(self, "intervals", ivals)
         object.__setattr__(self, "_blocks", blocks)
+        key = tuple((int(block[0]), int(block[-1]), *iv) for block, iv in zip(blocks, ivals))
+        object.__setattr__(self, "_key", key)
 
     @classmethod
     def from_interval(cls, grid: DomainGrid, a: float, b: float) -> "Subdomain":
         tol = 1e-9 * (grid.b - grid.a)
-        idx = np.nonzero((grid.points >= a - tol) & (grid.points <= b + tol))[0]
+        idx = ((grid.points >= a - tol) & (grid.points <= b + tol)).nonzero()[0]
         if idx.size == 0:
             raise DataError(f"no grid points inside [{a}, {b}]")
         return cls(((float(a), float(b)),), idx, [idx])
@@ -139,9 +142,7 @@ class Subdomain:
 
     def key(self) -> tuple:
         """Hashable cache key: (first, last) grid index and the exact interval ends per block."""
-        return tuple(
-            (int(blk[0]), int(blk[-1]), a, b) for blk, (a, b) in zip(self.blocks(), self.intervals)
-        )
+        return self._key
 
 
 def interp_columns(u, xp: np.ndarray, fp: np.ndarray, col=None) -> np.ndarray:
@@ -192,7 +193,8 @@ class EigenSystem:
     estimable. The nodes of each subdomain interval are its grid points
     plus its exact ends where those lie off the grid; ``node_index`` maps a
     node to its grid index (-1 for such an end) and ``node_blocks`` holds
-    one slice of nodes per interval.
+    one slice of nodes per interval. ``tables`` keeps the curve-independent
+    tables the caching model builds once for the eigensystem's reconstructions.
     """
 
     grid: DomainGrid
@@ -205,6 +207,7 @@ class EigenSystem:
     node_blocks: tuple[slice, ...]
     extrapolated: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k_available(self) -> int:
@@ -225,14 +228,17 @@ class EigenSystem:
         """Eigenfunction values at the ends of every subdomain interval, shape (2 * n_intervals, K).
 
         Rows run (a_0, b_0, a_1, b_1, ...); an end beyond its interval's
-        outermost node (a snapped end) takes that node's values.
+        outermost node (a snapped end) takes that node's values. An end at a
+        node copies its row, as ``interp_columns`` would; one strictly inside
+        is interpolated.
         """
-        rows = []
-        for (a, b), block in zip(self.subdomain.intervals, self.node_blocks):
-            pts = self.nodes[block]
-            ends = np.clip([a, b], pts[0], pts[-1])
-            rows.append(interp_columns(ends, pts, self.eigenfunctions[block]))
-        return np.vstack(rows)
+        at = np.array([(s.start, s.stop - 1) for s in self.node_blocks]).ravel()
+        lo, hi = self.node_spans[:, :, None]
+        ends = np.array(self.subdomain.intervals).clip(lo, hi).ravel()
+        values, inside = self.eigenfunctions[at], ends != self.nodes[at]
+        if inside.any():
+            values[inside] = interp_columns(ends[inside], self.nodes, self.eigenfunctions)
+        return values
 
     def extrapolated_at(self, u, k_max: int | None = None) -> np.ndarray:
         """Extrapolated basis values at arbitrary domain points, shape (len(u), K)."""
@@ -250,10 +256,31 @@ class EigenSystem:
         return int(np.searchsorted(frac, threshold - 1e-12) + 1)
 
 
-def _cell(grid: DomainGrid, x: float) -> np.ndarray:
+def _cell(grid: DomainGrid, x: float) -> tuple[int, int]:
     """The two grid indices enclosing an off-grid point."""
     i = min(int((x - grid.a) / grid.delta), grid.size - 2)
-    return np.array([i, i + 1])
+    return i, i + 1
+
+
+@functools.lru_cache(maxsize=4)
+def _bad_cell_sums(mask: bytes, L: int) -> np.ndarray:
+    """Prefix sums of a mask's non-estimable cells, with a zero row and column first."""
+    square = np.pad((np.frombuffer(mask, bool).reshape(L, L) == 0).cumsum(0).cumsum(1), (1, 0))
+    square.flags.writeable = False
+    return square
+
+
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of every run of True in a boolean vector."""
+    padded = np.zeros(flags.size + 2, dtype=np.int8)
+    padded[1:-1] = flags
+    step = padded[1:] - padded[:-1]
+    return np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
+
+
+def _clean(square: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> bool:
+    """Whether rows [r0, r1] x columns [c0, c1] hold no non-estimable cell, by ``_bad_cell_sums``."""
+    return square[r1 + 1, c1 + 1] - square[r0, c1 + 1] - square[r1 + 1, c0] + square[r0, c0] == 0
 
 
 def _node_layout(cov: CovarianceEstimate, subdomain: Subdomain):
@@ -263,42 +290,45 @@ def _node_layout(cov: CovarianceEstimate, subdomain: Subdomain):
     enclosing covariance cells are estimable against every node and every
     grid row the snapped subdomain can extrapolate to, so that an added end
     never shrinks the estimable part of the extension. An end failing that
-    (band-limited masks) keeps the snapped grid end and is counted.
+    (band-limited masks) keeps the snapped grid end and is counted. With the
+    subdomain's square estimable, the rows estimable against it (reach) hold
+    and are estimable against the used columns, so an end whose cell adds
+    columns N is added when reach x N and N x (used + N) hold no bad cell, by
+    the mask's prefix sums; on a full mask every end is.
     Returns (nodes, node_index, weights, node_blocks, n_snapped).
     """
-    grid = cov.grid
-    used = np.zeros(grid.size, dtype=bool)
-    used[subdomain.grid_indices] = True
-    reach = np.all(cov.mask[:, used], axis=1)
-    blocks = subdomain.blocks()
-    grid_w = np.split(subdomain.trapezoid_weights(grid), np.cumsum([b.size for b in blocks]))
-    nodes, node_index, weights, node_blocks = [], [], [], []
-    n_snapped = 0
-    for block, w, (lo, hi) in zip(blocks, grid_w, subdomain.off_grid_ends(grid)):
-        x, gi, w = list(grid.points[block]), list(block), list(w)
-        for side, end in ((0, lo), (-1, hi)):
+    grid, idx = cov.grid, subdomain.grid_indices
+    weights = subdomain.trapezoid_weights(grid)
+    used = [(int(block[0]), int(block[-1])) for block in subdomain.blocks()]
+    parts, node_blocks, at, n_snapped, square = [], [], 0, 0, None
+    for block, pair in zip(subdomain.blocks(), subdomain.off_grid_ends(grid)):
+        x, w = grid.points[block], weights[at : at + block.size]
+        at += block.size
+        run = [(x, block, w)]
+        for side, end in zip((0, -1), pair):
             if end is None:
                 continue
-            trial = used.copy()
-            trial[_cell(grid, end)] = True
-            if not np.all(cov.mask[np.ix_(reach | trial, trial)]):
-                n_snapped += 1
-                continue
-            used = trial
+            new = [j for j in _cell(grid, end) if not any(a <= j <= b for a, b in used)]
+            if new and not cov.full_mask:
+                if square is None:
+                    mask = np.asarray(cov.mask, dtype=bool)
+                    square = _bad_cell_sums(mask.tobytes(), grid.size)
+                    reach = list(zip(*(r.tolist() for r in _runs(mask[:, idx].all(axis=1)))))
+                n = (new[0], new[-1])
+                if not (all(_clean(square, *r, *n) for r in reach)
+                        and all(_clean(square, *n, *c) for c in used + [n])):
+                    n_snapped += 1
+                    continue
+                used.append(n)
+            # An added end is a node weighted by half its gap to the grid end, which gains it too.
             h = 0.5 * abs(x[side] - end)
             w[side] += h
-            at = 0 if side == 0 else len(x)
-            x.insert(at, end)
-            gi.insert(at, -1)
-            w.insert(at, h)
-        node_blocks.append(slice(len(nodes), len(nodes) + len(x)))
-        nodes += x
-        node_index += gi
-        weights += w
-    return (
-        np.array(nodes), np.array(node_index, dtype=int), np.array(weights),
-        tuple(node_blocks), n_snapped,
-    )
+            run.insert(len(run) if side else 0, ([end], [-1], [h]))
+        start = sum(len(p[0]) for p in parts)
+        node_blocks.append(slice(start, start + sum(len(r[0]) for r in run)))
+        parts += run
+    nodes, node_index, weights = (np.concatenate(part) for part in zip(*parts))
+    return nodes, node_index, weights, tuple(node_blocks), n_snapped
 
 
 def _weighted_eigh(G: np.ndarray, w: np.ndarray):
@@ -345,44 +375,40 @@ def eigen_on_subdomain(
     for block in subdomain.blocks():
         if block.size < 2:
             raise DataError("each subdomain interval needs at least two grid points")
-    sub_mask = cov.mask[np.ix_(idx, idx)]
-    if not np.all(sub_mask):
-        raise NotEstimableError(
-            f"covariance not estimable on O ({int((~sub_mask).sum())} cells missing)"
-        )
+    missing = 0 if cov.full_mask else int((~cov.mask[idx[:, None], idx]).sum())
+    if missing:
+        raise NotEstimableError(f"covariance not estimable on O ({missing} cells missing)")
     nodes, node_index, w, node_blocks, n_snapped = _node_layout(cov, subdomain)
     on_grid = node_index >= 0
     # Off-grid ends take a placeholder grid row here, overwritten below.
     gi = np.maximum(node_index, 0)
-    G = cov.surface[np.ix_(gi, gi)]
-    if not np.all(on_grid):
-        rows = cov.at(nodes[~on_grid][:, None], nodes[None, :])
-        G[~on_grid, :] = rows
-        G[:, ~on_grid] = rows.T
+    G = cov.surface[gi[:, None], gi]
+    ends = (~on_grid).nonzero()[0]
+    if ends.size:
+        G[ends, :] = rows = cov.at(nodes[ends][:, None], nodes[None, :])
+        G[:, ends] = rows.T
     evals, evecs, d = _weighted_eigh(G, w)
-    order = np.argsort(evals)[::-1]
+    order = evals.argsort()[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
     if evals.size == 0 or evals[0] <= 0:
         raise DegenerateCovarianceError("degenerate covariance: no positive eigenvalue")
-    evals = np.clip(evals, 0.0, None)
+    evals = evals.clip(0.0, None)
     keep = evals > lambda_rel_floor * evals[0]
     evals = evals[keep]
     evecs = evecs[:, keep]
     phi = evecs / d[:, None]
 
     sums = phi.sum(axis=0)
-    for j in range(phi.shape[1]):
-        if abs(sums[j]) > 1e-12:
-            if sums[j] < 0:
-                phi[:, j] = -phi[:, j]
-        else:
-            nz = np.nonzero(np.abs(phi[:, j]) > 1e-12)[0]
-            if nz.size and phi[nz[0], j] < 0:
-                phi[:, j] = -phi[:, j]
+    flip = sums < 0
+    tied = np.abs(sums) <= 1e-12
+    if tied.any():  # the first entry above 1e-12 in size decides
+        nonzero = np.abs(phi[:, tied]) > 1e-12
+        first = phi[:, tied][nonzero.argmax(axis=0), np.arange(nonzero.shape[1])]
+        flip[tied] = nonzero.any(axis=0) & (first < 0)
+    phi[:, flip] = -phi[:, flip]
 
-    gaps = -np.diff(evals)
-    near_degenerate = [int(j) for j in np.nonzero(gaps < NEAR_DEGENERATE_GAP * evals[0])[0]]
+    near_degenerate = (evals[:-1] - evals[1:] < NEAR_DEGENERATE_GAP * evals[0]).nonzero()[0].tolist()
     return EigenSystem(
         grid=cov.grid,
         subdomain=subdomain,
@@ -416,17 +442,19 @@ def extrapolate_basis(eigsys: EigenSystem, cov: CovarianceEstimate) -> EigenSyst
     ends = eigsys.nodes[~on_grid]
     # Off-grid ends take a placeholder grid column here, overwritten below.
     cols = cov.surface[:, np.maximum(eigsys.node_index, 0)]
-    cols[:, ~on_grid] = cov.at(grid.points[:, None], ends[None, :])
-    used = np.concatenate([idx] + [_cell(grid, x) for x in ends])
-    row_ok = np.all(cov.mask[:, np.unique(used)], axis=1)
+    if ends.size:
+        cols[:, ~on_grid] = cov.at(grid.points[:, None], ends[None, :])
     filled = np.where(np.isnan(cols), 0.0, cols)
     ext = (filled * eigsys.weights[None, :]) @ eigsys.eigenfunctions
     ext /= eigsys.eigenvalues[None, :]
+    # ``_node_layout`` adds an end only where its cell is estimable against every row
+    # estimable against the grid nodes, so those rows are estimable against all nodes.
+    row_ok = cov.mask[:, idx].all(axis=1)
     ext[~row_ok] = np.nan
 
-    on_sub = ext[idx, :]
+    # The largest deviation over the estimable rows: np.nanmax's reduction.
     identity_residual = float(
-        np.nanmax(np.abs(on_sub - eigsys.eigenfunctions[on_grid]), initial=0.0)
+        np.fmax.reduce(np.abs(ext[idx, :] - eigsys.eigenfunctions[on_grid]), axis=None, initial=0.0)
     )
     diag = dict(eigsys.diagnostics)
     diag["extrapolation_identity_residual"] = identity_residual

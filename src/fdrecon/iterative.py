@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -11,14 +10,13 @@ import numpy as np
 
 from .core import Curve, DomainGrid
 from .eigensystem import EigenSystem, Subdomain, eigen_on_subdomain, extrapolate_basis
+from .eigensystem import _bad_cell_sums, _runs
 from .errors import DataError, NotEstimableError, UsageError
 from .reconstruct import (
     PROV_NON_ESTIMABLE,
     ReconstructedCurve,
     ReconstructionModel,
-    _anchor_weights,
-    _ends,
-    _expansion,
+    _RowTerms,
     reconstruct_with_method,
 )
 from .smoothing import CovarianceEstimate, MeanEstimate
@@ -96,21 +94,6 @@ def _choose_next_rows(
     return np.arange(a[best], b[best])
 
 
-@functools.lru_cache(maxsize=4)
-def _bad_cell_sums(mask: bytes, L: int) -> np.ndarray:
-    square = np.pad((np.frombuffer(mask, bool).reshape(L, L) == 0).cumsum(0).cumsum(1), (1, 0))
-    square.flags.writeable = False
-    return square
-
-
-def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of every run of True in a boolean vector."""
-    padded = np.zeros(flags.size + 2, dtype=np.int8)
-    padded[1:-1] = flags
-    step = padded[1:] - padded[:-1]
-    return np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
-
-
 def choose_next_interval(
     current_coverage: Subdomain,
     mask: np.ndarray,
@@ -160,10 +143,10 @@ def _edge_values(values_on_sub: np.ndarray, eigsys: EigenSystem) -> np.ndarray:
     return values_on_sub[..., edges]
 
 
-# A later step: its subdomain and eigensystem, the estimable rows idx it
-# evaluates, the rows it newly covers at positions pos of idx, and how the
-# rows mix its interval ends (``_anchor_weights``).
-_Step = namedtuple("_Step", "r subdomain eigsys idx new pos weights")
+# A later step: its subdomain and eigensystem, the rows it newly covers at
+# positions pos of the estimable rows it evaluates, and the expansion's
+# curve-independent terms at those rows.
+_Step = namedtuple("_Step", "r subdomain eigsys new pos terms")
 
 
 def _completion_plan(model: ReconstructionModel, covered: np.ndarray, plan: IterationPlan):
@@ -208,8 +191,8 @@ def _completion_plan(model: ReconstructionModel, covered: np.ndarray, plan: Iter
             stalled_at = r
             break
         covered[new] = True
-        weights = _anchor_weights(o_r.intervals, grid.points[idx])
-        steps.append(_Step(r, o_r, eigsys, idx, new, np.searchsorted(idx, new), weights))
+        terms = _RowTerms(eigsys, model.mean, idx)
+        steps.append(_Step(r, o_r, eigsys, new, np.searchsorted(idx, new), terms))
     covered.flags.writeable = False
     model._plan_cache[key] = tuple(steps), stalled_at, covered
     return model._plan_cache[key]
@@ -248,21 +231,17 @@ def iterative_reconstruct(
     for step in steps:
         # Conditional-expectation scores are meaningless for reconstructed
         # grid values, so later steps always use quadrature scores.
-        eigsys, idx = step.eigsys, step.idx
         on_sub = values[step.subdomain.grid_indices]
-        k_use = min(int(k), eigsys.k_available)
-        xi = _grid_scores(on_sub, eigsys, model.mean)[:k_use]
-        ends = None
-        if method.startswith("ayes"):
-            ends = _ends(eigsys, model.mean, step.weights, k_use, _edge_values(on_sub, eigsys))
-        vals = _expansion(model.mean.values[idx], eigsys.extrapolated[idx, :k_use], xi, ends=ends)
-        values[step.new] = vals[step.pos]
+        xi = _grid_scores(on_sub, step.eigsys, model.mean)[: min(int(k), step.eigsys.k_available)]
+        x = _edge_values(on_sub, step.eigsys) if method.startswith("ayes") else None
+        values[step.new] = step.terms.expansion(xi, x)[step.pos]
         provenance[step.new] = step.r
     values[~covered] = np.nan
     provenance[~covered] = PROV_NON_ESTIMABLE
     diag = dict(first.diagnostics)
     steps_used = [step.subdomain.key() for step in steps]
-    diag.update({"steps": steps_used, "stalled_at": stalled_at, "coverage": float(covered.mean())})
+    coverage = np.count_nonzero(covered) / covered.size
+    diag.update({"steps": steps_used, "stalled_at": stalled_at, "coverage": coverage})
     if stalled_at:
         diag["warning"] = f"coverage stalled at r={stalled_at}"
     return ReconstructedCurve(
@@ -341,11 +320,8 @@ def check_error_accumulation(
 
     def step_values(eig, inputs_on_sub, eval_idx):
         xi = (inputs_on_sub * eig.weights) @ eig.eigenfunctions
-        ends = None
-        if method == "ayes":
-            weights = _anchor_weights(eig.subdomain.intervals, grid.points[eval_idx])
-            ends = _ends(eig, zero_mean, weights, xi.shape[1], _edge_values(inputs_on_sub, eig))
-        return _expansion(zero_mean.values[eval_idx], eig.extrapolated[eval_idx], xi, ends=ends)
+        x = _edge_values(inputs_on_sub, eig) if method == "ayes" else None
+        return _RowTerms(eig, zero_mean, eval_idx).expansion(xi, x)
 
     x_o1 = paths[:, o1.grid_indices]
     step1_idx = np.nonzero(covered1)[0]

@@ -131,7 +131,7 @@ class ReconstructionModel:
     bandwidths: Bandwidths
     dataset: FunctionalDataset | None = None
     lambda_rel_floor: float = DEFAULT_LAMBDA_REL_FLOOR
-    _eig_cache: dict = field(default_factory=dict, repr=False)
+    _eig_cache: dict = field(default_factory=dict, init=False, repr=False)
     _ridge_cache: dict = field(default_factory=dict, init=False, repr=False)
     _plan_cache: dict = field(default_factory=dict, init=False, repr=False)
     _full: Subdomain | None = field(default=None, init=False, repr=False)
@@ -246,9 +246,9 @@ def _anchor_weights(intervals, u: np.ndarray):
         w[sel] = (u[sel] - b_j) / (a_next - b_j)
         done |= sel
     inside = ~done
-    if np.any(inside):
+    if inside.any():
         ends = np.array(intervals).ravel()
-        lo[inside] = hi[inside] = np.argmin(np.abs(u[inside][:, None] - ends[None, :]), axis=1)
+        lo[inside] = hi[inside] = np.abs(u[inside][:, None] - ends[None, :]).argmin(axis=1)
     return lo, hi, w
 
 
@@ -264,20 +264,15 @@ def _mix(ends: np.ndarray, lo, hi, w) -> np.ndarray:
     return mixed
 
 
-def _ends(eigsys: EigenSystem, mean: MeanEstimate, weights, k: int, x, ok=True) -> tuple:
-    """``_aligned``'s ends for one curve on eigsys, or for several with one row of x each."""
-    at = np.array(eigsys.subdomain.intervals).ravel()
-    return weights, mean.at(at), eigsys.end_values[:, :k], x, ok
-
-
-def _expansion(mean_u, basis_u, xi, group=None, ends: tuple | None = None) -> np.ndarray:
-    """The truncated expansion mu + sum_{k <= K} xi_k psi_k at some points, plain or aligned.
+def _expansion(mean_u, basis_u, xi, group=None) -> np.ndarray:
+    """The truncated expansion mu + sum_{k <= K} xi_k psi_k at some points.
 
     Every truncated expansion of the package is formed here: the
     reconstructions, the iterative steps, the GCV splits and the
     error-accumulation check. ``mean_u`` and ``basis_u`` hold the mean and
-    the extrapolated basis psi at the points, one row per point, and ``xi``
-    K scores, or one row of K scores per curve.
+    the extrapolated basis psi at the points, one row per point, or their
+    aligned terms (``_shifted`` and ``_tilted``), and ``xi`` K scores, or one
+    row of K scores per curve.
 
     Without ``group`` the result is the expansion at K = xi.shape[-1], one
     row per curve when xi has them. With ``group``, point p belongs to the
@@ -285,16 +280,11 @@ def _expansion(mean_u, basis_u, xi, group=None, ends: tuple | None = None) -> np
     expansion at K for every K: the running sum GCV scores, added column by
     column as ``np.cumsum`` adds.
 
-    ``ends`` aligns the expansion at the interval ends: it holds the
-    arguments of ``_aligned`` after the mean and basis.
-
     A GCV split differs from a reconstruction on purpose in three ways: its
     integral scores carry the curve to the subdomain ends
     (``carry_to_ends``), it is evaluated at its pseudo-missing points rather
     than at grid points, and its ends are smoothed on the split's points.
     """
-    if ends is not None:
-        mean_u, basis_u = _aligned(mean_u, basis_u, *ends)
     if group is None:
         return mean_u + (basis_u @ xi if xi.ndim == 1 else xi @ basis_u.T)
     values = xi[group]
@@ -305,23 +295,57 @@ def _expansion(mean_u, basis_u, xi, group=None, ends: tuple | None = None) -> np
     return values
 
 
-def _aligned(mean_u, basis_u, weights, mean_ends, basis_ends, x, ok):
-    """The mean and basis terms of the aligned expansion at the points.
+# The aligned expansion. Row r of ``mean_ends`` and ``basis_ends`` holds the mean and
+# the eigenfunctions at an interval end, x[r] the curve's value there (one row per curve
+# may be given) and ok[r] whether its end fit held. ``weights`` are the points'
+# ``_anchor_weights``. With d_end = x_end - plain_K(end) where the fit held, else 0,
+# aligned_K(u) = plain_K(u) + mix_u(d) is, as d is linear in the scores, the expansion
+# with mean ``_shifted`` and basis ``_tilted`` at every K: a failed end drops out.
 
-    Row r of ``mean_ends`` and ``basis_ends`` holds the mean and the
-    eigenfunctions at an interval end, x[r] the curve's value there and
-    ok[r] whether its end fit held (True for gridded values); x may hold
-    one row per curve, whose end fits then all hold. ``weights`` are the
-    ``_anchor_weights`` of the points over the rows. With d_end =
-    x_end - plain_K(end) where the end fit held and 0 where it failed,
-    aligned_K(u) = plain_K(u) + mix_u(d). As d is linear in the scores,
-    aligned_K is the expansion with mean mu(u) + mix_u(ok (x - mu(end)))
-    and basis psi_k(u) - mix_u(ok psi_k(end)), at every K: a failed end
-    drops out at every K, as if filled with plain_K(end).
-    """
+
+def _shifted(mean_u, weights, mean_ends, x, ok):
+    """The aligned expansion's mean term mu(u) + mix_u(ok (x - mu(end)))."""
     shift = np.where(ok, x - mean_ends, 0.0)
-    tilt = np.where(np.reshape(ok, (-1, 1)), basis_ends, 0.0)
-    return mean_u + _mix(shift.T, *weights).T, basis_u - _mix(tilt, *weights)
+    return mean_u + _mix(shift.T, *weights).T
+
+
+def _tilted(basis_u, weights, basis_ends, ok):
+    """The aligned expansion's basis term psi_k(u) - mix_u(ok psi_k(end)), for each column k."""
+    return basis_u - _mix(np.where(np.reshape(ok, (-1, 1)), basis_ends, 0.0), *weights)
+
+
+class _RowTerms:
+    """What an expansion on an eigensystem at some grid rows needs that no curve changes.
+
+    The rows' ``_anchor_weights``, the flat interval ends, the mean there and
+    the curve smoother's targets (the grid points of the subdomain, then its
+    ends). The aligned basis term is built once per truncation K and pattern
+    of failed end fits, whose rows of the end values are zeroed. (One table
+    for every K held as much memory again as the extrapolated bases.)
+    """
+
+    def __init__(self, eigsys: EigenSystem, mean: MeanEstimate, rows: np.ndarray):
+        intervals, points = eigsys.subdomain.intervals, eigsys.grid.points
+        self.rows, self.end_values, self.ends = rows, eigsys.end_values, np.ravel(intervals)
+        self.targets = np.concatenate([points[eigsys.subdomain.grid_indices], self.ends])
+        self.weights = _anchor_weights(intervals, points[rows])
+        self.mean, self.mean_ends = mean.values[rows], mean.at(self.ends)
+        self.extrapolated, self._tilted = eigsys.extrapolated, {}
+
+    def expansion(self, xi, x=None, ok=True) -> np.ndarray:
+        """The expansion at the rows with scores xi, aligned at the ends' values x if given.
+
+        ``ok`` marks the ends whose fit held (True: all); x and xi may hold a row per curve.
+        """
+        k = xi.shape[-1]
+        if x is None:
+            return _expansion(self.mean, self.extrapolated[self.rows, :k], xi)
+        key = (k, ok if ok is True else np.asarray(ok).tobytes())
+        tilted = self._tilted.get(key)
+        if tilted is None:
+            basis, ends = self.extrapolated[self.rows, :k], self.end_values[:, :k]
+            tilted = self._tilted[key] = _tilted(basis, self.weights, ends, ok)
+        return _expansion(_shifted(self.mean, self.weights, self.mean_ends, x, ok), tilted, xi)
 
 
 def reconstruct_ano(
@@ -361,7 +385,7 @@ def reconstruct_ayes(
     smoothed value at the nearest boundary point. Between two observed
     intervals the shift is the linear interpolation of the two facing
     boundary residuals; beyond the outermost interval the nearest extreme is
-    used. An end whose local fit fails shifts nothing (``_aligned``).
+    used. An end whose local fit fails shifts nothing (``_shifted``, ``_tilted``).
     """
     return _reconstruct(True, scores_method, curve, model, k, subdomain, quadrature,
                         include_error_variance)
@@ -379,25 +403,20 @@ def _reconstruct(aligned, route, curve, model, k, subdomain, quadrature, include
     o_idx = subdomain.grid_indices
     provenance = np.full(grid.size, PROV_RECONSTRUCTED, dtype=int)
     provenance[o_idx] = PROV_OBSERVED
-    ext = eigsys.extrapolated[:, :k]
-    values = _expansion(model.mean.values, ext, scores.values)
+    values = _expansion(model.mean.values, eigsys.extrapolated[:, :k], scores.values)
     diagnostics = {"score_flags": list(scores.flags)}
     if aligned:
+        if "missing" not in eigsys.tables:  # the missing rows' terms, kept with the eigensystem
+            missing = np.flatnonzero(provenance == PROV_RECONSTRUCTED)
+            eigsys.tables["missing"] = _RowTerms(eigsys, model.mean, missing)
+        terms = eigsys.tables["missing"]
         # One local-linear pass of the curve smooths the observed grid points
         # and the interval ends; its windows are per target point.
-        ends = np.array(subdomain.intervals).ravel()
-        smoothed, ok = _smoothed_on(
-            curve.u, curve.y, np.concatenate([grid.points[o_idx], ends]), model.bandwidths.h_x
-        )
+        smoothed, ok = _smoothed_on(curve.u, curve.y, terms.targets, model.bandwidths.h_x)
         x_ends, end_ok = smoothed[o_idx.size :], ok[o_idx.size :]
         # Observed part: the curve's smooth, the expansion where the local fit fails.
         values[o_idx] = np.where(ok[: o_idx.size], smoothed[: o_idx.size], values[o_idx])
-        m_idx = np.flatnonzero(provenance == PROV_RECONSTRUCTED)
-        weights = _anchor_weights(subdomain.intervals, grid.points[m_idx])
-        values[m_idx] = _expansion(
-            model.mean.values[m_idx], ext[m_idx], scores.values,
-            ends=_ends(eigsys, model.mean, weights, k, x_ends, end_ok),
-        )
+        values[terms.rows] = terms.expansion(scores.values, x_ends, end_ok)
         diagnostics.update(n_smoother_fallback=int((~ok[: o_idx.size]).sum()),
                            n_anchor_fallback=int((~end_ok).sum()))
     bad = ~np.isfinite(values)
@@ -839,8 +858,10 @@ class _Expansion:
             at, group = np.concatenate(at), np.concatenate(group)
             u, y, obs_group = self.obs
             x, ok = _smoothed_on(u, y, at, self.model.bandwidths.h_x, groups=(obs_group, group))
-            self._aligned = _aligned(
-                self.mean, self.basis, (lo, hi, w), self.model.mean.at(at), np.vstack(basis), x, ok
+            weights = (lo, hi, w)
+            self._aligned = (
+                _shifted(self.mean, weights, self.model.mean.at(at), x, ok),
+                _tilted(self.basis, weights, np.vstack(basis), ok),
             )
         return self._aligned
 

@@ -113,7 +113,8 @@ class CovarianceEstimate:
     """Gridded covariance surface plus the estimability mask.
 
     Entries where the mask is False hold NaN and must not feed any
-    downstream computation.
+    downstream computation. ``filled`` holds the surface with those entries
+    set to zero and ``full_mask`` whether there are none, both set once.
     """
 
     grid: DomainGrid
@@ -126,11 +127,12 @@ class CovarianceEstimate:
         L = self.grid.size
         if self.surface.shape != (L, L) or self.mask.shape != (L, L):
             raise DataError("covariance surface/mask must be L x L")
+        object.__setattr__(self, "filled", np.where(self.mask, self.surface, 0.0))
+        object.__setattr__(self, "full_mask", bool(np.all(self.mask)))
 
     def at(self, u, v) -> np.ndarray:
         """Bilinear interpolation of the surface; NaN cells contribute zero."""
-        filled = np.where(self.mask, self.surface, 0.0)
-        return _bilinear(self.grid.points, filled, np.asarray(u, float), np.asarray(v, float))
+        return _bilinear(self.grid.points, self.filled, u, v)
 
     @classmethod
     def from_function(
@@ -169,19 +171,15 @@ def _bilinear(grid_points: np.ndarray, surface: np.ndarray, u, v) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     a, delta, L = grid_points[0], grid_points[1] - grid_points[0], grid_points.size
-    fu = np.clip((u - a) / delta, 0.0, L - 1 - 1e-12)
-    fv = np.clip((v - a) / delta, 0.0, L - 1 - 1e-12)
+    fu = ((u - a) / delta).clip(0.0, L - 1 - 1e-12)
+    fv = ((v - a) / delta).clip(0.0, L - 1 - 1e-12)
     iu = fu.astype(int)
     iv = fv.astype(int)
-    su = fu - iu
-    sv = fv - iv
-    out = (
-        surface[iu, iv] * (1 - su) * (1 - sv)
-        + surface[iu + 1, iv] * su * (1 - sv)
-        + surface[iu, iv + 1] * (1 - su) * sv
-        + surface[iu + 1, iv + 1] * su * sv
-    )
-    return out
+    su, sv = fu - iu, fv - iv
+    ru, rv = 1 - su, 1 - sv
+    # The four corners, gathered from the flat surface, weighed in the order of the formula.
+    at, flat = iu * L + iv, surface.ravel()
+    return flat[at] * ru * rv + flat[at + L] * su * rv + flat[at + 1] * ru * sv + flat[at + L + 1] * su * sv
 
 
 def _group_keys(group: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -27,10 +27,15 @@ def test_repository_against_itself_moves_nothing(tmp_path):
         assert row["moved"] == 0, method
         assert row["table_dev"] == row["table_dev_at_largest"] == row["recon_dev"] == 0.0, method
     assert set(summary["fit"].values()) == {0.0}
-    assert sorted(summary["iterative"]) == ["ano", "anoce", "ayes", "ayesce"]
-    assert set(summary["iterative"].values()) == {0.0}
+    for name in ("iterative", "band_fit_iterative"):
+        assert sorted(summary[name]) == ["ano", "anoce", "ayes", "ayesce"]
+        assert set(summary[name].values()) == {0.0}
+    eig = summary["eigensystems"]
+    assert eig["studies"] == eig["band_fit"] == 0.0
+    assert eig["count"] > 100 and eig["snapped_ends"] > 0
     assert summary["golden"] == summary["criterion_8"] == 0.0
     assert "ayesce" in proc.stdout and "criterion 8: 0" in proc.stdout
+    assert "band fit iterative: ano 0" in proc.stdout
 
 
 def test_deviation_rule():

@@ -15,6 +15,7 @@ from fdrecon import (
     integral_scores,
 )
 from fdrecon.core import DomainGrid
+from fdrecon.eigensystem import interp_columns
 
 
 def brownian_cov(grid, band=None):
@@ -230,8 +231,6 @@ class TestExtrapolateBasis:
 
 class TestInterpColumns:
     def test_matches_np_interp_value_for_value(self):
-        from fdrecon.eigensystem import interp_columns
-
         rng = np.random.default_rng(7)
         xp = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 18)), [1.0]])
         fp = rng.normal(size=(xp.size, 4)) * 10.0 ** rng.uniform(-4, 4, size=4)
@@ -368,3 +367,266 @@ class TestOffGridEnds:
         assert np.array_equal(full.values, restricted.values)
         rec = reconstruct_ano(curve, model, 3)
         assert np.all(np.isfinite(rec.values[eig.subdomain.grid_indices]))
+
+
+# Reference copies of the eigensystem build as the per-end, per-interval
+# loops it was written as: the node layout tests each off-grid end against
+# the mask with a gathered square, the sign rule runs column by column, the
+# bilinear interpolation clips and gathers corner by corner, and the end
+# values interpolate each interval on its own nodes.
+
+
+def reference_at(cov, u, v):
+    filled = np.where(cov.mask, cov.surface, 0.0)
+    pts = cov.grid.points
+    u, v = np.atleast_1d(np.asarray(u, float)), np.atleast_1d(np.asarray(v, float))
+    a, delta, L = pts[0], pts[1] - pts[0], pts.size
+    fu = np.clip((u - a) / delta, 0.0, L - 1 - 1e-12)
+    fv = np.clip((v - a) / delta, 0.0, L - 1 - 1e-12)
+    iu, iv = fu.astype(int), fv.astype(int)
+    su, sv = fu - iu, fv - iv
+    return (
+        filled[iu, iv] * (1 - su) * (1 - sv)
+        + filled[iu + 1, iv] * su * (1 - sv)
+        + filled[iu, iv + 1] * (1 - su) * sv
+        + filled[iu + 1, iv + 1] * su * sv
+    )
+
+
+def reference_cell(grid, x):
+    i = min(int((x - grid.a) / grid.delta), grid.size - 2)
+    return np.array([i, i + 1])
+
+
+def reference_node_layout(cov, subdomain):
+    grid = cov.grid
+    used = np.zeros(grid.size, dtype=bool)
+    used[subdomain.grid_indices] = True
+    reach = np.all(cov.mask[:, used], axis=1)
+    blocks = subdomain.blocks()
+    grid_w = np.split(subdomain.trapezoid_weights(grid), np.cumsum([b.size for b in blocks]))
+    nodes, node_index, weights, node_blocks = [], [], [], []
+    n_snapped = 0
+    for block, w, (lo, hi) in zip(blocks, grid_w, subdomain.off_grid_ends(grid)):
+        x, gi, w = list(grid.points[block]), list(block), list(w)
+        for side, end in ((0, lo), (-1, hi)):
+            if end is None:
+                continue
+            trial = used.copy()
+            trial[reference_cell(grid, end)] = True
+            if not np.all(cov.mask[np.ix_(reach | trial, trial)]):
+                n_snapped += 1
+                continue
+            used = trial
+            h = 0.5 * abs(x[side] - end)
+            w[side] += h
+            at = 0 if side == 0 else len(x)
+            x.insert(at, end)
+            gi.insert(at, -1)
+            w.insert(at, h)
+        node_blocks.append(slice(len(nodes), len(nodes) + len(x)))
+        nodes += x
+        node_index += gi
+        weights += w
+    return (
+        np.array(nodes), np.array(node_index, dtype=int), np.array(weights),
+        tuple(node_blocks), n_snapped,
+    )
+
+
+def reference_eigensystem(cov, subdomain, lambda_rel_floor=1e-8):
+    """Every field and diagnostic of the extrapolated eigensystem, or the error it raises."""
+    from fdrecon import DataError
+
+    idx = subdomain.grid_indices
+    for block in subdomain.blocks():
+        if block.size < 2:
+            return DataError("each subdomain interval needs at least two grid points")
+    sub_mask = cov.mask[np.ix_(idx, idx)]
+    if not np.all(sub_mask):
+        return NotEstimableError(
+            f"covariance not estimable on O ({int((~sub_mask).sum())} cells missing)"
+        )
+    nodes, node_index, w, node_blocks, n_snapped = reference_node_layout(cov, subdomain)
+    on_grid = node_index >= 0
+    gi = np.maximum(node_index, 0)
+    G = cov.surface[np.ix_(gi, gi)]
+    if not np.all(on_grid):
+        rows = reference_at(cov, nodes[~on_grid][:, None], nodes[None, :])
+        G[~on_grid, :] = rows
+        G[:, ~on_grid] = rows.T
+    d = np.sqrt(w)
+    M = d[:, None] * G * d[None, :]
+    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
+    order = np.argsort(evals)[::-1]
+    evals, evecs = evals[order], evecs[:, order]
+    if evals.size == 0 or evals[0] <= 0:
+        return DegenerateCovarianceError("degenerate covariance: no positive eigenvalue")
+    evals = np.clip(evals, 0.0, None)
+    keep = evals > lambda_rel_floor * evals[0]
+    evals, phi = evals[keep], evecs[:, keep] / d[:, None]
+    sums = phi.sum(axis=0)
+    for j in range(phi.shape[1]):
+        if abs(sums[j]) > 1e-12:
+            if sums[j] < 0:
+                phi[:, j] = -phi[:, j]
+        else:
+            nz = np.nonzero(np.abs(phi[:, j]) > 1e-12)[0]
+            if nz.size and phi[nz[0], j] < 0:
+                phi[:, j] = -phi[:, j]
+    gaps = -np.diff(evals)
+    near_degenerate = [int(j) for j in np.nonzero(gaps < 1e-10 * evals[0])[0]]
+
+    grid = cov.grid
+    ends = nodes[~on_grid]
+    cols = cov.surface[:, gi]
+    cols[:, ~on_grid] = reference_at(cov, grid.points[:, None], ends[None, :])
+    used = np.concatenate([idx] + [reference_cell(grid, x) for x in ends])
+    row_ok = np.all(cov.mask[:, np.unique(used)], axis=1)
+    ext = (np.where(np.isnan(cols), 0.0, cols) * w[None, :]) @ phi
+    ext /= evals[None, :]
+    ext[~row_ok] = np.nan
+    residual = float(np.nanmax(np.abs(ext[idx, :] - phi[on_grid]), initial=0.0))
+
+    end_rows = []
+    for (a, b), block in zip(subdomain.intervals, node_blocks):
+        pts = nodes[block]
+        end_rows.append(interp_columns(np.clip([a, b], pts[0], pts[-1]), pts, phi[block]))
+    return {
+        "eigenvalues": evals, "eigenfunctions": phi, "nodes": nodes, "weights": w,
+        "node_index": node_index, "node_blocks": node_blocks, "extrapolated": ext,
+        "end_values": np.vstack(end_rows),
+        "diagnostics": {
+            "near_degenerate_pairs": near_degenerate, "n_snapped_ends": n_snapped,
+            "extrapolation_identity_residual": residual, "n_non_estimable_rows": int((~row_ok).sum()),
+        },
+    }
+
+
+def assert_same_eigensystem(cov, subdomain, lambda_rel_floor=1e-8):
+    """The library's build equals the reference in every field, bit for bit; returns it."""
+    want = reference_eigensystem(cov, subdomain, lambda_rel_floor)
+    try:
+        got = extrapolate_basis(eigen_on_subdomain(cov, subdomain, lambda_rel_floor), cov)
+    except Exception as exc:  # the reference raises the same error with the same message
+        assert isinstance(want, Exception), exc
+        assert (type(exc), str(exc)) == (type(want), str(want))
+        return None
+    assert not isinstance(want, Exception), want
+    for name, value in want.items():
+        mine = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert mine.dtype == value.dtype and mine.shape == value.shape, name
+            assert np.array_equal(mine, value, equal_nan=True), name
+            assert np.array_equal(np.signbit(mine), np.signbit(value)), name
+        else:
+            assert mine == value, name
+    return got
+
+
+def band_fragment_fit(n=60, seed=7):
+    """A fit on n noisy fragments of length 0.4 of a rank-3 process: a band-limited mask."""
+    from fdrecon import build_dataset, fit_reconstruction_model
+
+    rng = np.random.default_rng([seed, 2])
+    curves = []
+    for i in range(n):
+        a = rng.uniform(0.0, 0.6)
+        u = np.sort(rng.uniform(a, a + 0.4, 15))
+        z = rng.standard_normal(3)
+        curve = rank3_curve(f"f{i:03d}", u, z)
+        curves.append(Curve(curve.id, u, curve.y + 0.05 * rng.standard_normal(u.size)))
+    dataset = build_dataset(curves, domain=(0.0, 1.0), grid_size=51)
+    return dataset, fit_reconstruction_model(dataset)
+
+
+class TestBuildOracle:
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_dgp_targets_and_sample_curves(self, dgp):
+        from fdrecon import DgpConfig, fit_reconstruction_model, generate_dgp
+
+        cfg = DgpConfig(dgp=dgp, n=50, m=15 if dgp in (1, 2) else None, seed=dgp,
+                        replications=1, n_targets=25)
+        dataset, targets = generate_dgp(cfg, 0)
+        model = fit_reconstruction_model(dataset)
+        built = 0
+        for curve in targets.curves + dataset.curves:
+            built += assert_same_eigensystem(model.cov, curve_subdomain(curve, model.grid)) is not None
+        assert built == 75
+
+    def test_band_limited_fit_on_fragments(self):
+        dataset, model = band_fragment_fit()
+        assert not model.cov.full_mask
+        seen = {"accepted": 0, "snapped": 0, "non_estimable_rows": 0}
+        for curve in dataset.curves:
+            eig = assert_same_eigensystem(model.cov, curve_subdomain(curve, model.grid))
+            seen["accepted"] += bool(np.any(eig.node_index < 0))
+            seen["snapped"] += eig.diagnostics["n_snapped_ends"] > 0
+            seen["non_estimable_rows"] += eig.diagnostics["n_non_estimable_rows"] > 0
+        assert min(seen.values()) > 0, seen
+
+    def test_two_intervals_and_grid_aligned_steps(self):
+        from fdrecon import IterationPlan
+        from fdrecon.iterative import _completion_plan
+
+        grid = DomainGrid.regular((0, 1), 51)
+        two = Subdomain.from_interval(grid, 0.313, 0.587).complement(grid)
+        assert len(two.intervals) == 2
+        # Ends within the grid tolerance of a grid point, inside its node span.
+        near = Subdomain.from_interval(grid, 0.2 + 1e-10, 0.6 - 1e-10)
+        for cov in (rank3_model().cov, rank3_model(band=0.7).cov):
+            assert_same_eigensystem(cov, two)
+            eig = assert_same_eigensystem(cov, near)
+            assert eig.nodes[0] < near.intervals[0][0] < eig.nodes[1]
+        dataset, model = band_fragment_fit()
+        steps = set()
+        for curve in dataset.curves[:10]:
+            first = model.eigensystem_for(curve_subdomain(curve, model.grid))
+            covered = np.all(np.isfinite(first.extrapolated), axis=1)
+            for step in _completion_plan(model, covered, IterationPlan(r_max=6))[0]:
+                steps.add(step.subdomain.key())
+                assert_same_eigensystem(model.cov, step.subdomain)
+        assert len(steps) >= 2
+
+    def test_sign_rule_falls_back_to_the_first_nonzero_entry(self):
+        # On the symmetric full grid the odd component sums to zero.
+        grid = DomainGrid.regular((0, 1), 51)
+        cov = CovarianceEstimate.from_function(
+            grid, lambda u, v: 1.0 + 0.5 * LEGENDRE[1](u) * LEGENDRE[1](v)
+        )
+        eig = assert_same_eigensystem(cov, Subdomain.from_interval(grid, 0.0, 1.0))
+        sums = eig.eigenfunctions.sum(axis=0)
+        assert np.abs(sums[1]) <= 1e-12 < np.abs(sums[0])
+        first = eig.eigenfunctions[np.nonzero(np.abs(eig.eigenfunctions[:, 1]) > 1e-12)[0][0], 1]
+        assert first > 0
+
+    def test_end_row_with_a_bad_cell_against_the_subdomain(self):
+        # An asymmetric mask: only the end cell's row fails against the
+        # subdomain's columns, so the end must snap; the transposed test alone passes it.
+        good = rank3_model().cov
+        mask, surface = good.mask.copy(), good.surface.copy()
+        mask[15, 20], surface[15, 20] = False, np.nan
+        cov = CovarianceEstimate(good.grid, surface, mask, good.bandwidth)
+        eig = assert_same_eigensystem(cov, Subdomain.from_interval(cov.grid, 0.313, 0.587))
+        assert eig.diagnostics["n_snapped_ends"] == 1
+
+    def test_square_not_estimable(self):
+        cov = rank3_model(band=0.27).cov
+        assert assert_same_eigensystem(cov, Subdomain.from_interval(cov.grid, 0.1, 0.5)) is None
+
+    def test_a_fresh_model_solves_again(self, monkeypatch):
+        import fdrecon.reconstruct as module
+        from fdrecon import ReconstructionModel
+
+        solved = []
+        real = module.eigen_on_subdomain
+        monkeypatch.setattr(module, "eigen_on_subdomain", lambda *a: solved.append(1) or real(*a))
+        dataset, model = band_fragment_fit()
+        sub = curve_subdomain(dataset.curves[0], model.grid)
+        fresh = [ReconstructionModel(model.mean, model.cov, model.sigma2, model.bandwidths)
+                 for _ in range(2)]
+        for m in fresh:
+            m.eigensystem_for(sub)
+            m.eigensystem_for(sub)
+        assert len(solved) == 2
+        assert fresh[0].eigensystem_for(sub) is not fresh[1].eigensystem_for(sub)

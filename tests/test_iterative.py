@@ -31,8 +31,9 @@ from fdrecon.reconstruct import (
     PROV_NON_ESTIMABLE,
     ReconstructedCurve,
     _anchor_weights,
-    _ends,
     _expansion,
+    _shifted,
+    _tilted,
 )
 from fdrecon.simulation import DgpConfig
 
@@ -123,12 +124,13 @@ def reference_from_grid(values_on_sub, eigsys, model, method, k):
     k_use = min(int(k), eigsys.k_available)
     xi = _grid_scores(values_on_sub, eigsys, model.mean)[:k_use]
     idx = np.nonzero(_estimable_rows(eigsys))[0]
-    ends = None
+    mean_u, basis_u = model.mean.values[idx], eigsys.extrapolated[idx, :k_use]
     if method.startswith("ayes"):
         weights = _anchor_weights(eigsys.subdomain.intervals, model.grid.points[idx])
-        ends = _ends(eigsys, model.mean, weights, k_use, _edge_values(values_on_sub, eigsys))
-    vals = _expansion(model.mean.values[idx], eigsys.extrapolated[idx, :k_use], xi, ends=ends)
-    return vals, idx
+        x = _edge_values(values_on_sub, eigsys)
+        mean_u = _shifted(mean_u, weights, model.mean.at(np.ravel(eigsys.subdomain.intervals)), x, True)
+        basis_u = _tilted(basis_u, weights, eigsys.end_values[:, :k_use], True)
+    return _expansion(mean_u, basis_u, xi), idx
 
 
 def reference_iterative(curve, model, method, plan, k, quadrature="riemann"):

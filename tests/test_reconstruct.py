@@ -308,6 +308,28 @@ class TestOneExpansion:
         )
         assert np.array_equal(ayes.provenance, ano.provenance)
 
+    def test_end_fit_patterns_on_one_model(self):
+        # The aligned tables are kept per pattern of failed end fits: curves
+        # with and without a failed end, reconstructed in turn on one model,
+        # each equal their reconstruction on a model of their own.
+        rng = np.random.default_rng(12)
+        halves = (np.sort(rng.uniform(0.0, 0.3, 60)), np.sort(rng.uniform(0.7, 1.0, 60)))
+        sparse = np.concatenate([halves[0], [0.6], halves[1]])
+        dense = np.concatenate([halves[0], np.sort(rng.uniform(0.6, 1.0, 80))])
+        ok, failed = (Curve(cid, u, rank3_curve_values(u, rng.normal(size=3)))
+                      for cid, u in (("ok", dense), ("failed", sparse)))
+        curves = [ok, failed, ok]
+        shared = rank3_model(grid_size=101)
+        grid = shared.grid
+        sub = Subdomain.from_indices(grid, np.nonzero((grid.points <= 0.3) | (grid.points >= 0.6))[0])
+        fallbacks = []
+        for curve in curves:
+            got = reconstruct_ayes(curve, shared, 2, subdomain=sub)
+            want = reconstruct_ayes(curve, rank3_model(grid_size=101), 2, subdomain=sub)
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            fallbacks.append(got.diagnostics["n_anchor_fallback"])
+        assert fallbacks == [0, 1, 0]
+
     def test_pace_is_ano_on_the_full_eigensystem(self):
         from fdrecon import pace_scores
 
@@ -341,8 +363,8 @@ class TestOneExpansion:
         # expansion at its pseudo-missing points, with the GCV's scores.
         from fdrecon import DgpConfig, generate_dgp
         from fdrecon.reconstruct import (
-            _Expansion, _SplitBatch, _anchor_weights, _ends, _expansion, _gcv_candidates,
-            _split_scores,
+            _Expansion, _SplitBatch, _anchor_weights, _expansion, _gcv_candidates, _shifted,
+            _split_scores, _tilted,
         )
         from fdrecon.smoothing import _smoothed_on
 
@@ -370,8 +392,9 @@ class TestOneExpansion:
             weights = _anchor_weights(o_sub.intervals, u)
             for kk in range(1, k + 1):
                 values = _expansion(
-                    model.mean.at(u), eigsys.extrapolated_at(u, kk), xi[s, :kk],
-                    ends=_ends(eigsys, model.mean, weights, kk, x, ok),
+                    _shifted(model.mean.at(u), weights, model.mean.at(at), x, ok),
+                    _tilted(eigsys.extrapolated_at(u, kk), weights, eigsys.end_values[:, :kk], ok),
+                    xi[s, :kk],
                 )
                 resid = values - y
                 resid[~np.isfinite(resid)] = 0.0

@@ -97,6 +97,66 @@ class TestGenerateDgp:
             DgpConfig(dgp=1, n=1, m=10)
 
 
+def reference_draw(config, tag, index, force_partial):
+    """One curve's draws and values by the formula of the per-curve generator.
+
+    The four streams are drawn in order and the shape closures are rebuilt
+    from the basis weights for every curve. Returns (u, y, z1, z2, (lo, hi)).
+    """
+    from fdrecon.simulation import NOISE_VARIANCES, _draw_fragment, _stream
+
+    dgp, seed = config.dgp, config.seed
+    lo, hi = _draw_fragment(_stream(seed, tag, index, 0), dgp, force_partial)
+    scores = _stream(seed, tag, index, 1)
+    z1, z2 = float(scores.standard_normal()), float(scores.standard_normal())
+    if dgp in (1, 2):
+        u = np.sort(_stream(seed, tag, index, 2).uniform(lo, hi, config.m))
+        eps = np.sqrt(NOISE_VARIANCES[dgp]) * _stream(seed, tag, index, 3).standard_normal(config.m)
+    else:
+        lattice = np.arange(1, OBSERVATION_LATTICE_SIZE + 1) / OBSERVATION_LATTICE_SIZE
+        u, eps = lattice[(lattice >= lo) & (lattice <= hi)], 0.0
+    return u, reference_values(config.dgp, u, z1, z2) + eps, z1, z2, (lo, hi)
+
+
+def reference_values(dgp, u, z1, z2):
+    from fdrecon.simulation import N_BASIS_TERMS, dgp_basis_weights
+
+    k = np.arange(1, N_BASIS_TERMS + 1, dtype=float)
+    s1, s2 = (np.array(s) for s in dgp_basis_weights(dgp))
+    f = np.cos(np.multiply.outer(u, k * np.pi)) @ s1
+    g = np.sin(np.multiply.outer(u, k * np.pi)) @ s2
+    return dgp_mean_function(dgp)(u) + z1 * f + z2 * g
+
+
+class TestGenerateDgpOracle:
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    def test_curves_draws_and_truth_match_the_per_curve_formula(self, dgp):
+        from fdrecon.simulation import _TAG_SAMPLE, _TAG_TARGET, _draw_curve
+
+        cfg = DgpConfig(dgp=dgp, n=12, m=15 if dgp in (1, 2) else None, seed=7,
+                        replications=3, n_targets=6)
+        dataset, targets = generate_dgp(cfg, 2)
+        for i, curve in enumerate(dataset.curves):
+            u, y, z1, z2, span = reference_draw(cfg, _TAG_SAMPLE, 2 * cfg.n + i, False)
+            assert curve.id == f"c{i:04d}"
+            assert np.array_equal(curve.u, u) and np.array_equal(curve.y, y)
+            drawn, *scores, drawn_span = _draw_curve(cfg, _TAG_SAMPLE, 2 * cfg.n + i, curve.id, False)
+            assert scores == [z1, z2] and drawn_span == span
+        grid = targets.grid.points
+        for t, curve in enumerate(targets.curves):
+            u, y, z1, z2, _ = reference_draw(cfg, _TAG_TARGET, t, True)
+            assert np.array_equal(curve.u, u) and np.array_equal(curve.y, y)
+            assert np.array_equal(targets.truth[t], reference_values(dgp, grid, z1, z2))
+
+    def test_shape_tables_are_built_once_and_read_only(self):
+        from fdrecon.simulation import dgp_basis_weights
+
+        assert dgp_shape_functions(2) is dgp_shape_functions(2)
+        s1, s2 = dgp_basis_weights(2)
+        with pytest.raises(ValueError):
+            s1[0] = 0.0
+
+
 class TestShapeFunctions:
     def test_covariance_consistent_with_shapes(self):
         f, g = dgp_shape_functions(1)

@@ -12,11 +12,16 @@ their own code, with one BLAS thread. The panel is:
 
 - the sample of replication 0 of a small study of each DGP 1-4 (50 curves,
   15 points each for DGPs 1 and 2, 25 targets), fitted with the default
-  bandwidths: the fit (mean, covariance surface, noise variance);
-  ``select_gcv`` for all six methods at every target; and every method's
-  reconstruction of every target at K = 2 (kraus at rho = 0.1);
+  bandwidths: the fit (mean, covariance surface, noise variance); every
+  target's eigensystem (each array field and diagnostic); ``select_gcv``
+  for all six methods at every target; and every method's reconstruction
+  of every target at K = 2 (kraus at rho = 0.1);
 - iterative completion (ano, anoce, ayes, ayesce at K = 1 and 2) of 12
   fragments under a band-limited covariance given in closed form;
+- a fit on 60 noisy fragments of a rank-3 process, built as the benchmark's
+  iterative_band builds its fit, whose mask is band-limited: the iterative
+  completion of every fragment as above, and every eigensystem those
+  completions solved, among them ends the mask snaps to the grid;
 - the golden-fixture CLI session of ``tests/test_cli.py`` (``reconstruct
   --method ayesce --k 2 --error-variance`` on ``tests/fixtures``);
 - the error-accumulation check of acceptance criterion 8.
@@ -25,7 +30,8 @@ It prints, per method, the targets whose GCV choice moved (K, or rho for
 kraus; an error that differs also counts), and the maximum relative
 deviation of the GCV tables over all candidates and at the largest
 candidate alone, and of the reconstructions; then the deviations of the
-fit, the iterative completions, the CLI output and criterion 8's result.
+fit, the eigensystems, the iterative completions, the CLI output and
+criterion 8's result.
 The deviation of two arrays is max|a - b| / max(|a|, |b|) over their finite
 entries, 0 when both are zero, and infinite when their shapes, their
 non-finite entries or their errors differ. ``--out`` writes the same
@@ -74,6 +80,16 @@ def _values(rec) -> list:
     return rec.values.tolist()
 
 
+def _eigensystem(eig) -> dict:
+    """Every array field and diagnostic of an extrapolated eigensystem."""
+    fields = ("eigenvalues", "eigenfunctions", "nodes", "weights", "node_index", "extrapolated",
+              "end_values")
+    out = {name: getattr(eig, name).tolist() for name in fields}
+    out["node_blocks"] = [[block.start, block.stop] for block in eig.node_blocks]
+    out.update({f"diagnostics.{name}": value for name, value in eig.diagnostics.items()})
+    return out
+
+
 def _study_panel(dgp: int) -> dict:
     from fdrecon import (
         DgpConfig, FdreconError, curve_subdomain, fit_reconstruction_model, generate_dgp,
@@ -105,13 +121,13 @@ def _study_panel(dgp: int) -> dict:
     ]
     fit = {"mean": model.mean.values.tolist(), "cov": model.cov.surface.tolist(),
            "sigma2": float(model.sigma2.sigma2)}
-    return {"fit": fit, "gcv": gcv, "recon": recon}
+    eigen = [_attempt(lambda o=o: _eigensystem(model.eigensystem_for(o))) for o in observed]
+    return {"fit": fit, "eigen": eigen, "gcv": gcv, "recon": recon}
 
 
 def _iterative_panel() -> dict:
     from fdrecon import (
-        Bandwidths, CovarianceEstimate, Curve, IterationPlan, MeanEstimate, NoiseVariance,
-        ReconstructionModel, iterative_reconstruct,
+        Bandwidths, CovarianceEstimate, Curve, MeanEstimate, NoiseVariance, ReconstructionModel,
     )
     from fdrecon.core import DomainGrid
 
@@ -122,17 +138,43 @@ def _iterative_panel() -> dict:
     mean = MeanEstimate.from_function(grid, lambda u: 1.0 + 0.5 * np.sin(2 * np.pi * u))
     model = ReconstructionModel(mean, cov, NoiseVariance(0.01), Bandwidths(0.1, 0.1, 0.1))
     rng = np.random.default_rng(3)
-    out = {}
+    curves = []
     for i in range(12):
         a = rng.uniform(0.0, 0.7)
         u = np.sort(rng.uniform(a, a + 0.3, 15))
         y = 1.0 + 0.5 * np.sin(2 * np.pi * u) + np.cumsum(rng.normal(size=u.size)) * 0.1
-        curve = Curve(f"f{i}", u, y)
-        for method in ("ano", "anoce", "ayes", "ayesce"):
-            for k in (1, 2):
-                out[f"{curve.id} {method} K={k}"] = _attempt(lambda: _values(iterative_reconstruct(
-                    curve, model, method, IterationPlan(), k)))
-    return out
+        curves.append(Curve(f"f{i}", u, y))
+    return _completions(model, curves)
+
+
+def _completions(model, curves) -> dict:
+    from fdrecon import IterationPlan, iterative_reconstruct
+
+    return {
+        f"{curve.id} {method} K={k}": _attempt(lambda: _values(iterative_reconstruct(
+            curve, model, method, IterationPlan(), k)))
+        for curve in curves for method in ("ano", "anoce", "ayes", "ayesce") for k in (1, 2)
+    }
+
+
+def _band_fit_panel() -> dict:
+    """Completions on an estimated band-limited fit, and every eigensystem they solved."""
+    from fdrecon import Curve, build_dataset, fit_reconstruction_model
+
+    rng = np.random.default_rng([7, 2])
+    legendre = lambda u: np.stack([np.ones_like(u), np.sqrt(3.0) * (2 * u - 1),  # noqa: E731
+                                   np.sqrt(5.0) * (6 * u * u - 6 * u + 1)], axis=1)
+    scores = rng.standard_normal((60, 3)) * np.sqrt([1.0, 0.5, 0.1])
+    curves = []
+    for i, z in enumerate(scores):
+        a = rng.uniform(0.0, 0.6)
+        u = np.sort(rng.uniform(a, a + 0.4, 15))
+        y = 1.0 + 0.5 * u + 0.5 * np.sin(2 * np.pi * u) + legendre(u) @ z
+        curves.append(Curve(f"f{i:03d}", u, y + 0.05 * rng.standard_normal(u.size)))
+    model = fit_reconstruction_model(build_dataset(curves, domain=(0.0, 1.0), grid_size=51))
+    completions = _completions(model, curves)
+    eigen = {str(key): _eigensystem(eig) for key, eig in model._eig_cache.items()}
+    return {"iterative": completions, "eigen": eigen}
 
 
 def _golden_panel() -> dict:
@@ -171,6 +213,7 @@ def run_panel(out: Path) -> None:
         "fdrecon": fdrecon.__file__,
         "studies": {str(dgp): _study_panel(dgp) for dgp in DGPS},
         "iterative": _iterative_panel(),
+        "band_fit": _band_fit_panel(),
         "golden": _golden_panel(),
         "criterion_8": _criterion_8(),
     }
@@ -192,6 +235,24 @@ def deviation(a, b) -> float:
     a, b = a[finite], b[finite]
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     return float(np.abs(a - b).max() / scale) if scale > 0 else 0.0
+
+
+def _eigen_deviation(a, b) -> float:
+    """The largest deviation over two eigensystems' fields (or their errors)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return deviation(a, b)
+    if a.keys() != b.keys():
+        return math.inf
+    return max(deviation(a[name], b[name]) for name in a)
+
+
+def _by_method(parent: dict, change: dict) -> dict:
+    """Per method, the largest deviation of the completions keyed "<curve> <method> K=<k>"."""
+    out: dict = {}
+    for key, values in parent.items():
+        method = key.split()[1]
+        out[method] = max(out.get(method, 0.0), deviation(values, change.get(key, "missing")))
+    return out
 
 
 def _table(slot, at_largest: bool):
@@ -227,11 +288,18 @@ def compare(parent: dict, change: dict) -> dict:
                   for d, s in parent["studies"].items())
         for name in ("mean", "cov", "sigma2")
     }
-    iterative = {}
-    for key, values in parent["iterative"].items():
-        method = key.split()[1]
-        dev = deviation(values, change["iterative"].get(key, "missing"))
-        iterative[method] = max(iterative.get(method, 0.0), dev)
+    iterative = _by_method(parent["iterative"], change["iterative"])
+    band_p, band_c = parent["band_fit"], change["band_fit"]
+    eigensystems = {
+        "studies": max(_eigen_deviation(e, change["studies"][d]["eigen"][t])
+                       for d, s in parent["studies"].items() for t, e in enumerate(s["eigen"])),
+        "band_fit": max(_eigen_deviation(e, band_c["eigen"].get(key, "missing"))
+                        for key, e in band_p["eigen"].items()),
+        "count": sum(len(s["eigen"]) for s in parent["studies"].values()) + len(band_p["eigen"]),
+        "snapped_ends": sum(e["diagnostics.n_snapped_ends"] for e in band_p["eigen"].values()),
+    }
+    if band_p["eigen"].keys() != band_c["eigen"].keys():
+        eigensystems["band_fit"] = math.inf
     golden_p, golden_c = parent["golden"], change["golden"]
     golden = deviation(golden_p["numbers"], golden_c["numbers"])
     if golden_p["labels"] != golden_c["labels"] or golden_p["code"] != golden_c["code"]:
@@ -241,8 +309,9 @@ def compare(parent: dict, change: dict) -> dict:
         new = change["criterion_8"].get(key)
         dev = deviation(value, new) if isinstance(value, float) else float(value != new and math.inf)
         criterion_8 = max(criterion_8, dev)
-    return {"methods": methods, "fit": fit, "iterative": iterative, "golden": golden,
-            "criterion_8": criterion_8}
+    return {"methods": methods, "fit": fit, "eigensystems": eigensystems, "iterative": iterative,
+            "band_fit_iterative": _by_method(band_p["iterative"], band_c["iterative"]),
+            "golden": golden, "criterion_8": criterion_8}
 
 
 def print_summary(summary: dict) -> None:
@@ -253,8 +322,12 @@ def print_summary(summary: dict) -> None:
               f"{row['table_dev_at_largest']:>11.3g} {row['recon_dev']:>11.3g}")
     fit = ", ".join(f"{name} {dev:.3g}" for name, dev in summary["fit"].items())
     print(f"fit: {fit}")
-    iterative = ", ".join(f"{name} {dev:.3g}" for name, dev in summary["iterative"].items())
-    print(f"iterative: {iterative}")
+    eig = summary["eigensystems"]
+    print(f"eigensystems ({eig['count']}, {eig['snapped_ends']} snapped ends in the band fit): "
+          f"studies {eig['studies']:.3g}, band fit {eig['band_fit']:.3g}")
+    for name in ("iterative", "band_fit_iterative"):
+        devs = ", ".join(f"{method} {dev:.3g}" for method, dev in summary[name].items())
+        print(f"{name.replace('_', ' ')}: {devs}")
     print(f"golden CLI: {summary['golden']:.3g}")
     print(f"criterion 8: {summary['criterion_8']:.3g}")
 
